@@ -43,7 +43,6 @@ class ICLogging(GlobalEpochScheme):
     """Per-line embedded undo entries with epoch-batched validity flips."""
 
     name = "icl"
-    parallel_safe = False  # not yet validated against the parallel engine
     no_commit_time = True  # commit work is background except the record
     software_redirection = "in_line"
 

@@ -40,7 +40,6 @@ class JASSAdaptive(GlobalEpochScheme):
     """Undo-logging / shadow-paging hybrid, switched per page per epoch."""
 
     name = "jass_adaptive"
-    parallel_safe = False  # not yet validated against the parallel engine
     persistence_barriers = True
     software_redirection = "adaptive"
 

@@ -381,7 +381,6 @@ def _cmd_scaling(args) -> int:
             num_sockets=args.sockets,
             batch_epoch_sync=not args.no_batch,
             oracle=args.oracle,
-            sim_workers=args.sim_workers,
             jobs=args.jobs,
             cache=not args.no_cache,
             progress=_print_progress,
@@ -419,8 +418,7 @@ def _cmd_bench(args) -> int:
     try:
         results = bench.run_bench(names, quick=args.quick, repeats=args.repeats,
                                   profile_frames=args.profile,
-                                  oracle=args.oracle,
-                                  sim_workers=args.sim_workers)
+                                  oracle=args.oracle)
     except KeyError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
@@ -933,10 +931,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_scaling.add_argument("--no-batch", action="store_true",
                            help="disable batched epoch sync (per-store "
                                 "cross-VD announcements, the 16-core mode)")
-    p_scaling.add_argument("--sim-workers", type=int, default=1,
-                           help="slice-parallel engine workers per run "
-                                "(results stay bit-identical to serial; "
-                                "oracle runs force serial)")
     unified_opts(p_scaling, oracle_help="arm the protocol invariant oracle "
                                         "on every run in the sweep")
     p_scaling.set_defaults(func=_cmd_scaling)
@@ -1044,10 +1038,6 @@ def build_parser() -> argparse.ArgumentParser:
                          default=BENCH_REGRESSION_THRESHOLD,
                          help="regression threshold as a fraction "
                               "(default 0.20)")
-    p_bench.add_argument("--sim-workers", type=int, default=1,
-                         help="run scenarios on the slice-parallel engine "
-                              "with N workers (fingerprints stay "
-                              "bit-identical to serial)")
     p_bench.add_argument("--detectors", default=None, metavar="NAMES",
                          help="comma-separated detector subset for --check "
                               "(default: all registered; see "

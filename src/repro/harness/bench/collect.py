@@ -48,18 +48,13 @@ class BenchScenario:
     #: epoch sync (the scale-out configuration).
     cores: Optional[int] = None
 
-    def spec(self, quick: bool = False, sim_workers: int = 1) -> RunSpec:
+    def spec(self, quick: bool = False) -> RunSpec:
         scale = self.scale * (self.quick_scale if quick else 1.0)
         config = None
         if self.cores is not None:
             from ...sim import SystemConfig
 
-            config = SystemConfig.scaled(self.cores, batch_epoch_sync=True,
-                                         sim_workers=sim_workers)
-        elif sim_workers != 1:
-            from ...sim import SystemConfig
-
-            config = SystemConfig(sim_workers=sim_workers)
+            config = SystemConfig.scaled(self.cores, batch_epoch_sync=True)
         return RunSpec(workload=self.workload, scheme=self.scheme,
                        config=config, scale=scale, seed=self.seed)
 
@@ -142,7 +137,7 @@ def _percentile(samples: Sequence[float], fraction: float) -> float:
 
 
 def _build(spec: RunSpec, capture_txn_wall: bool) -> tuple:
-    from ...sim import machine_for
+    from ...sim import Machine
     from ...workloads import make_workload
     from ..runner import make_scheme
 
@@ -153,8 +148,8 @@ def _build(spec: RunSpec, capture_txn_wall: bool) -> tuple:
         from ...oracle import ProtocolOracle
 
         oracle = ProtocolOracle()
-    machine = machine_for(config, scheme=make_scheme(spec.scheme, spec.nvo_params),
-                          capture_txn_wall=capture_txn_wall, oracle=oracle)
+    machine = Machine(config, scheme=make_scheme(spec.scheme, spec.nvo_params),
+                      capture_txn_wall=capture_txn_wall, oracle=oracle)
     workload = make_workload(spec.workload, num_threads=config.num_cores,
                              scale=spec.scale, seed=spec.seed)
     return machine, workload
@@ -166,7 +161,6 @@ def run_scenario(
     repeats: int = 3,
     profile_frames: int = 0,
     oracle: bool = False,
-    sim_workers: int = 1,
 ) -> BenchResult:
     """Time one scenario; the best repeat is the headline number.
 
@@ -176,13 +170,10 @@ def run_scenario(
     prints the top hot frames to stderr (never timed).  ``oracle=True``
     arms the invariant oracle inside the timed region — that measures
     the checking overhead, so armed numbers must never be committed to
-    the trajectory as if they were plain throughput.  (It also forces
-    ``sim_workers > 1`` runs back to the serial engine — armed parallel
-    numbers measure nothing.)  ``sim_workers`` selects the execution
-    engine; results are bit-identical across values, only wall clock
-    differs.
+    the trajectory as if they were plain throughput.  (An armed oracle
+    also takes NVOverlay cells off the fast path.)
     """
-    spec = scenario.spec(quick, sim_workers=sim_workers).with_changes(oracle=oracle)
+    spec = scenario.spec(quick).with_changes(oracle=oracle)
     seconds: List[float] = []
     best: Optional[BenchResult] = None
     for repeat in range(max(1, repeats)):
@@ -230,7 +221,6 @@ def run_bench(
     repeats: int = 3,
     profile_frames: int = 0,
     oracle: bool = False,
-    sim_workers: int = 1,
 ) -> Dict[str, BenchResult]:
     """Run the named scenarios (default: all) and return their results."""
     selected = list(names) if names else list(SCENARIOS)
@@ -240,8 +230,7 @@ def run_bench(
         raise KeyError(f"unknown bench scenario(s) {unknown}; known: {known}")
     return {
         name: run_scenario(SCENARIOS[name], quick=quick, repeats=repeats,
-                           profile_frames=profile_frames, oracle=oracle,
-                           sim_workers=sim_workers)
+                           profile_frames=profile_frames, oracle=oracle)
         for name in selected
     }
 
@@ -298,7 +287,7 @@ def run_fingerprint(spec: RunSpec) -> Dict[str, Any]:
     cache key.  Two implementations of the simulator are behaviorally
     identical on ``spec`` iff these hashes match.
     """
-    from ...sim import machine_for
+    from ...sim import Machine
     from ...workloads import make_workload
     from ..runner import make_scheme
 
@@ -308,8 +297,8 @@ def run_fingerprint(spec: RunSpec) -> Dict[str, Any]:
         from ...oracle import ProtocolOracle
 
         oracle = ProtocolOracle()
-    machine = machine_for(config, scheme=make_scheme(spec.scheme, spec.nvo_params),
-                          oracle=oracle)
+    machine = Machine(config, scheme=make_scheme(spec.scheme, spec.nvo_params),
+                      oracle=oracle)
     workload = make_workload(spec.workload, num_threads=config.num_cores,
                              scale=spec.scale, seed=spec.seed)
     result = machine.run(workload)

@@ -51,16 +51,21 @@ from ..sim.config import (
 #: 6: ``serve`` joined the spec (snapshot-serving reader policy); serve
 #: runs interleave reader NVM traffic and GC with the write stream, so
 #: their records must never collide with write-only cells.
-#: 7: SystemConfig grew ``sim_workers`` (parallel execution engine),
-#: which joins the canonical config dict.  Results are bit-identical
-#: across worker counts, but the engines are distinct code paths and a
-#: cached record must say which one produced it.
+#: 7: SystemConfig grew a worker-count field for a second, slice-parallel
+#: execution engine, which joined the canonical config dict.  Results
+#: were bit-identical across worker counts, but the engines were
+#: distinct code paths and a cached record had to say which one ran.
 #: 8: SystemConfig grew ``nvm_profile`` (CXL-attached device model),
 #: the epoch-policy serialization gained the "adaptive" kind, and
 #: icl/jass_adaptive/msync_snapshot joined the scheme registry.
 #: Existing cells' behavior is unchanged (their hashes prove it); only
 #: the cache keys move because the canonical config dict grew a field.
-CACHE_SCHEMA_VERSION = 8
+#: 9: the slice-parallel engine and its worker-count field are gone;
+#: ``Machine.run`` picks its fast path from the run itself.  The
+#: canonical config dict lost that field, so every cache key moves;
+#: behavior is unchanged (the golden hashes other than ``spec_key``
+#: still match).
+CACHE_SCHEMA_VERSION = 9
 
 
 # --------------------------------------------------------------------------

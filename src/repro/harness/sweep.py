@@ -82,7 +82,6 @@ def scaling_curve(
     num_sockets: int = 1,
     batch_epoch_sync: bool = True,
     oracle: bool = False,
-    sim_workers: int = 1,
     *,
     jobs: Optional[int] = None,
     cache: CacheOption = True,
@@ -101,11 +100,6 @@ def scaling_curve(
     default here; the 16-core paper experiments leave it off).  With
     ``oracle=True`` every run is invariant-checked — the sweep finishing
     at all means zero violations across the grid.
-
-    ``sim_workers > 1`` runs every cell on the slice-parallel engine
-    (``repro.sim.parallel``) — results are bit-identical to serial, so
-    the curve is unchanged; only wall-clock drops.  Oracle-armed runs
-    force the serial engine regardless.
     """
     specs: List[RunSpec] = []
     all_schemes = ("ideal",) + tuple(schemes)
@@ -115,7 +109,6 @@ def scaling_curve(
             cores_per_vd=cores_per_vd,
             num_sockets=num_sockets,
             batch_epoch_sync=batch_epoch_sync,
-            sim_workers=sim_workers,
         )
         for scheme in all_schemes:
             specs.append(RunSpec(workload=workload, scheme=scheme,

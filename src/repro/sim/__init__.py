@@ -24,7 +24,6 @@ from .hierarchy import Hierarchy
 from .interconnect import Interconnect
 from .memory import MainMemory, line_base, line_of, lines_touched, page_of
 from .nvm import NVM, WRITE_CATEGORIES
-from .parallel import ParallelMachine, ShardPlan, ShardWorker, machine_for
 from .scheme import (
     EVICT_REASONS,
     REASON_CAPACITY,
@@ -36,7 +35,7 @@ from .scheme import (
     SnapshotScheme,
 )
 from .stats import Stats
-from .system import Machine, RunResult
+from .system import Machine, RunResult, machine_for
 from .trace import LOAD, STORE, MemOp, TraceRecorder, load, store
 from .validate import InvariantViolation, validate_hierarchy
 from .wear import WearReport, WearTracker
@@ -61,9 +60,6 @@ __all__ = [
     "NoSnapshot",
     "PAGE_SHIFT",
     "PAGE_SIZE",
-    "ParallelMachine",
-    "ShardPlan",
-    "ShardWorker",
     "REASON_CAPACITY",
     "REASON_COHERENCE",
     "REASON_OTHER",

@@ -295,14 +295,6 @@ class SystemConfig:
     #: sweeps enable it.
     batch_epoch_sync: bool = False
 
-    #: Simulation shard workers (``repro.sim.parallel``).  1 runs the
-    #: classic serial ``Machine``; >1 partitions the machine by VD/LLC
-    #: slice ownership and drains cross-shard traffic through per-shard
-    #: mailboxes in a fixed shard-then-sequence order, so results stay
-    #: bit-identical to serial.  Part of the RunSpec cache key: worker
-    #: count selects a different (if equivalent) execution engine.
-    sim_workers: int = 1
-
     def __post_init__(self) -> None:
         if self.num_cores < 1:
             raise ValueError("num_cores must be positive")
@@ -346,8 +338,6 @@ class SystemConfig:
             )
         if self.num_sockets < 1 or self.num_cores % self.num_sockets:
             raise ValueError("cores must divide evenly across sockets")
-        if self.sim_workers < 1:
-            raise ValueError("sim_workers must be positive")
         if self.num_sockets > 1:
             # Multi-socket round-robin distribution only makes sense
             # when every socket gets the same number of VDs and slices.

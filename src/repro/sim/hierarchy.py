@@ -50,7 +50,6 @@ from .scheme import (
     SnapshotScheme,
 )
 from .stats import Stats
-from .trace import STORE, MemOp
 
 
 class DirEntry:
@@ -288,19 +287,14 @@ class Hierarchy:
         for shard in self._dir_shards:
             yield from shard.items()
 
-    def execute_op(self, core_id: int, op: MemOp, now: int) -> int:
-        """Run one memory operation; returns its latency in cycles."""
-        return self.execute_access(core_id, op.addr, op.size, op.kind == STORE, now)
-
     def execute_access(
         self, core_id: int, addr: int, size: int, is_store: bool, now: int
     ) -> int:
         """Run one access given as plain fields; returns its latency.
 
-        The flat-tuple twin of :meth:`execute_op` — the runner feeds it
-        straight from workload access batches without building ``MemOp``
-        objects.  Single-line accesses (the overwhelmingly common case)
-        take a no-loop fast path.
+        The runner feeds it straight from workload access batches
+        without building ``MemOp`` objects.  Single-line accesses (the
+        overwhelmingly common case) skip the per-line loop.
         """
         first = addr >> CACHE_LINE_SHIFT
         last = (addr + size - 1) >> CACHE_LINE_SHIFT

@@ -7,6 +7,11 @@ work, the one with the smallest local clock executes its next transaction.
 This yields a deterministic interleaving that still lets fast threads run
 ahead the way real cores do, which matters for the distributed-epoch
 experiments (VDs genuinely skew when their threads progress unevenly).
+
+Each run takes its per-access and walker-poll functions from
+``fastpath.build``: NVOverlay's common case runs hand-inlined
+transitions, everything else (and every oracle- or fault-injected run)
+the ``Hierarchy`` methods.  Both paths produce bit-identical results.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
+from . import fastpath
 from .config import SystemConfig
 from .dram import DRAM
 from .hierarchy import Hierarchy
@@ -92,8 +98,15 @@ class Machine:
         #: Optional per-transaction-boundary callback ``hook(now)`` — the
         #: snapshot-serving reader scheduler (repro.serve) interleaves
         #: point-in-time reads through it.  Resolved to a local before
-        #: the run loop; None (the default) costs nothing.
+        #: the run loop; None (the default) costs nothing.  On the fast
+        #: path the hook runs mid-run, before the fast path writes its
+        #: deferred ``Stats`` counters, the hierarchy's store token and
+        #: the tag walkers' fields back (that happens when ``run``
+        #: returns), so a hook must not read any of them; the serve
+        #: scheduler reads none.
         self.txn_hook: Optional[Callable[[int], None]] = None
+        #: Whether the last ``run`` took the fast path (``fastpath``).
+        self.fast_path = False
         self.scheme.attach(self)
         if oracle is not None:
             oracle.bind(self)
@@ -140,6 +153,13 @@ class Machine:
         poll_hook = scheme.poll
         if getattr(poll_hook, "__func__", None) is SnapshotScheme.poll:
             poll_hook = None
+        # NVOverlay's common case swaps in the hand-inlined transitions;
+        # every other run keeps the Hierarchy methods.
+        fast = fastpath.build(self)
+        self.fast_path = fast is not None
+        if fast is not None:
+            execute_access = fast.access
+            poll_hook = fast.poll
         # Transaction boundaries are quiescent points, so this is where
         # the oracle may run its full structural scans (epoch advances
         # fire mid-operation and are not safe scan points).
@@ -204,6 +224,8 @@ class Machine:
                 break
             heappush(ready, (clock, tid))
 
+        if fast is not None:
+            fast.flush()
         end = max(clocks.values(), default=0)
         end = max(end, self._global_stall_until)
         scheme.finalize(end)
@@ -216,3 +238,8 @@ class Machine:
             stats=self.stats,
             per_thread_cycles=dict(clocks),
         )
+
+
+#: The harness builds every machine through this name (kept as a plain
+#: alias so callers can wrap or patch the build step in one place).
+machine_for = Machine

@@ -41,15 +41,6 @@ class Workload(ABC):
 
     name = "workload"
 
-    #: True when every per-thread stream is a pure function of the
-    #: construction arguments — generating thread A's stream never
-    #: observes state mutated while generating thread B's, so streams
-    #: may be materialized out of order (or in another process) without
-    #: changing their contents.  ``repro.sim.parallel`` only prefetches
-    #: streams in shard workers when this holds; lazy shared-structure
-    #: workloads (``IndexInsertWorkload``) must leave it False.
-    stream_stable = False
-
     def __init__(self, num_threads: int) -> None:
         if num_threads <= 0:
             raise ValueError("need at least one thread")

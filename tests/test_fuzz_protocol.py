@@ -12,16 +12,17 @@ oracle-armed under nvoverlay and ideal on one of several geometries —
 * nvoverlay and ideal agree on every scheme-independent identity
   (store counts, per-line writer histograms, uncontested final writers).
 
-A second sweep replays every seed on the slice-parallel engine
-(``sim_workers=2``) and asserts bit-identity with serial — the fuzzer
-runs in both execution modes.
+A second sweep replays the seeds of the single-socket geometries, plus
+a 64-core scaled machine, unarmed and armed: the unarmed run takes
+``Machine.run``'s fast path, the armed one the ``Hierarchy`` reference
+methods, and the two must be bit-identical — the fuzzer covers both
+execution paths.
 
 The seed budget defaults to ~200 spread evenly across the geometries;
 set ``REPRO_FUZZ_SEEDS`` to deepen it (e.g. ``REPRO_FUZZ_SEEDS=2000``
 for a nightly soak) or to shrink it for a smoke run.
 """
 
-import dataclasses
 import os
 import random
 from typing import List
@@ -140,49 +141,58 @@ def test_fuzz_geometry(geometry_index):
         )
 
 
+#: The fast-path leg: (seed stripe, geometry).  The single-socket fuzz
+#: geometries keep their own seed stripes; the 64-core scaled machine
+#: (this leg only) borrows the stripe of the 64-core multi-socket mesh.
+FAST_PATH_GEOMETRIES = [
+    (0, GEOMETRIES[0]),
+    (2, GEOMETRIES[2]),
+    (4, (64, 2, 1, True)),
+]
+
+
 @pytest.mark.parametrize(
-    "geometry_index", range(len(GEOMETRIES)),
+    "stripe,geometry", FAST_PATH_GEOMETRIES,
     ids=[f"{c}c-{v}pv-{s}s{'-batched' if b else ''}"
-         for c, v, s, b in GEOMETRIES],
+         for _, (c, v, s, b) in FAST_PATH_GEOMETRIES],
 )
-def test_fuzz_parallel_engine_parity(geometry_index):
-    """Every fuzz seed must be bit-identical under the slice-parallel
-    engine: same cycles, counters and final memory image as serial.
-
-    (The oracle-armed runs above always use the serial engine — an armed
-    oracle forces it — so this sweep is the fuzzer's parallel-mode leg.)
-    """
-    from repro.sim.parallel import ParallelMachine
-
-    cores, cores_per_vd, sockets, batch = GEOMETRIES[geometry_index]
+def test_fuzz_fast_path_parity(stripe, geometry):
+    """Every fuzz seed must be bit-identical on the fast path and the
+    reference path: same cycles, per-thread cycles, counters, memory
+    image and store log, with a clean structural check of the fast
+    path's hierarchy."""
+    cores, cores_per_vd, sockets, batch = geometry
     config = SystemConfig.scaled(
         cores,
         cores_per_vd=cores_per_vd,
         num_sockets=sockets,
         batch_epoch_sync=batch,
     )
-    parallel_config = dataclasses.replace(config, sim_workers=2)
-    for seed in _seeds_for(geometry_index):
+    for seed in _seeds_for(stripe):
         frozen = freeze_workload(FuzzWorkload(cores, seed))
-        serial = Machine(config, scheme=make_scheme("nvoverlay"))
-        serial_result = serial.run(frozen)
-        parallel = ParallelMachine(
-            parallel_config, scheme=make_scheme("nvoverlay")
-        )
-        parallel_result = parallel.run(frozen)
-        assert parallel.parallel_engaged, f"seed {seed} fell back to serial"
+        fast = Machine(config, scheme=make_scheme("nvoverlay"),
+                       capture_store_log=True)
+        fast_result = fast.run(frozen)
+        assert fast.fast_path, f"seed {seed} left the fast path"
+        validate_hierarchy(fast.hierarchy)
+        reference = Machine(config, scheme=make_scheme("nvoverlay"),
+                            capture_store_log=True, oracle=ProtocolOracle())
+        reference_result = reference.run(frozen)
+        assert not reference.fast_path
         mismatch = {
-            field: (getattr(serial_result, field), getattr(parallel_result, field))
+            field: (getattr(reference_result, field), getattr(fast_result, field))
             for field in ("cycles", "stores", "transactions", "per_thread_cycles")
-            if getattr(serial_result, field) != getattr(parallel_result, field)
+            if getattr(reference_result, field) != getattr(fast_result, field)
         }
-        if serial.stats.counters() != parallel.stats.counters():
+        if reference.stats.counters() != fast.stats.counters():
             mismatch["counters"] = "diverged"
-        if serial.hierarchy.memory_image() != parallel.hierarchy.memory_image():
+        if reference.hierarchy.memory_image() != fast.hierarchy.memory_image():
             mismatch["memory_image"] = "diverged"
+        if reference.hierarchy.store_log != fast.hierarchy.store_log:
+            mismatch["store_log"] = "diverged"
         assert not mismatch, (
-            f"seed {seed} ({cores}c): parallel engine diverged from "
-            f"serial: {mismatch}"
+            f"seed {seed} ({cores}c): fast path diverged from the "
+            f"reference path: {mismatch}"
         )
 
 

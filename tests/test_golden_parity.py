@@ -7,17 +7,22 @@ the spec cache key, each hashed.  The optimized simulator must reproduce
 every one of them exactly — a perf change that shifts any counter,
 cycle count or memory byte is a semantics change, not an optimization.
 
-Every cell runs twice: once on the serial reference ``Machine`` and once
-on the slice-parallel engine (``sim_workers=2``), which must reproduce
-the same fingerprints bit-for-bit — its determinism contract.  (The
-``spec_key`` hash is only compared for the serial run: ``sim_workers``
-deliberately joins the cache key, so the parallel spec hashes elsewhere.)
+Every cell runs twice, and both legs must match every behavioural hash:
+
+* ``serial`` — the default unarmed run, as every user run takes it:
+  cells inside the fast-path envelope (stock NVOverlay on a
+  single-socket MESI machine) run ``repro.sim.fastpath``'s hand-inlined
+  transitions;
+* ``armed`` — the protocol oracle attached, which keeps the run on the
+  ``Hierarchy`` reference methods with every invariant checked.
+
+The ``spec_key`` hash is only compared for the unarmed leg: ``oracle``
+joins the cache key, so the armed spec hashes elsewhere.
 
 These are the heaviest tier-1 tests (many full small-scale runs); the
 cells stay at scale 0.2 so the whole file runs in tens of seconds.
 """
 
-import dataclasses
 import json
 from pathlib import Path
 
@@ -43,32 +48,30 @@ def _cell_id(cell):
     return f"{cell['workload']}-{cell['scheme']}{geometry}"
 
 
-def _cell_config(cell, sim_workers=1):
+def _cell_config(cell):
     """Geometry for a cell: default 16-core unless ``cores`` says else."""
     cores = cell.get("cores")
     profile = cell.get("nvm_profile", "local")
     if cores is None:
-        if sim_workers == 1 and profile == "local":
+        if profile == "local":
             return None
-        return SystemConfig(sim_workers=sim_workers, nvm_profile=profile)
-    config = SystemConfig.scaled(
+        return SystemConfig(nvm_profile=profile)
+    return SystemConfig.scaled(
         cores, batch_epoch_sync=cell.get("batch_epoch_sync", False),
         nvm_profile=profile,
     )
-    if sim_workers != 1:
-        config = dataclasses.replace(config, sim_workers=sim_workers)
-    return config
 
 
-@pytest.mark.parametrize("sim_workers", [1, 2], ids=["serial", "workers2"])
+@pytest.mark.parametrize("oracle", [False, True], ids=["serial", "armed"])
 @pytest.mark.parametrize("cell", _CELLS, ids=[_cell_id(c) for c in _CELLS])
-def test_fingerprint_matches_seed(cell, sim_workers):
+def test_fingerprint_matches_seed(cell, oracle):
     spec = RunSpec(
         workload=cell["workload"],
         scheme=cell["scheme"],
-        config=_cell_config(cell, sim_workers),
+        config=_cell_config(cell),
         scale=cell["scale"],
         seed=cell["seed"],
+        oracle=oracle,
     )
     fingerprint = run_fingerprint(spec)
     expected = cell["fingerprint"]
@@ -77,13 +80,13 @@ def test_fingerprint_matches_seed(cell, sim_workers):
         for key in expected
         if key != "spec_key" and fingerprint.get(key) != expected[key]
     }
-    if sim_workers == 1:
+    if not oracle:
         if fingerprint.get("spec_key") != expected["spec_key"]:
             mismatched["spec_key"] = (
                 expected["spec_key"], fingerprint.get("spec_key")
             )
     assert not mismatched, (
-        f"{cell['workload']}/{cell['scheme']} (sim_workers={sim_workers}) "
+        f"{cell['workload']}/{cell['scheme']} (oracle={oracle}) "
         f"diverged from the seed implementation: {mismatched}"
     )
 

@@ -4,15 +4,13 @@ Covers the three additions to ``repro.baselines`` — In-Cache-Line
 Logging, JASS-style adaptive checkpointing, and the msync-based
 userspace Snapshot — plus the two ``sim``-layer mechanisms they brought
 with them: the CXL-attached NVM device profile and the adaptive
-epoch-sizing policy.  The forced-serial regression for the parallel
-engine's scheme envelope lives here too.
+epoch-sizing policy.
 """
 
 import dataclasses
 
 import pytest
 
-from repro.harness.bench import run_fingerprint
 from repro.harness.runner import COMPARED_SCHEMES, SCHEMES, make_scheme, simulate
 from repro.harness.spec import (
     RunSpec,
@@ -27,8 +25,6 @@ from repro.sim import (
     Stats,
     SystemConfig,
 )
-from repro.sim.parallel import ParallelMachine
-from repro.oracle.differential import freeze_workload
 from repro.workloads import make_workload
 
 SMALL = SystemConfig.small()
@@ -237,37 +233,3 @@ class TestAdaptiveEpochPolicy:
         fixed = simulate(_spec("sw_logging", scale=0.05))
         adaptive = simulate(_spec("sw_logging", config=config, scale=0.05))
         assert fixed.cycles != adaptive.cycles
-
-
-class TestParallelEnvelope:
-    """Satellite 4: schemes outside the validated envelope force serial."""
-
-    @pytest.mark.parametrize("scheme", NEW_SCHEMES)
-    def test_new_scheme_forces_serial_engine(self, scheme):
-        config = dataclasses.replace(SMALL, sim_workers=2)
-        machine = ParallelMachine(config, scheme=make_scheme(scheme))
-        frozen = freeze_workload(
-            make_workload("uniform", num_threads=4, scale=0.02, seed=1)
-        )
-        machine.run(frozen)
-        assert not machine.parallel_engaged
-        assert not machine.fused_access
-
-    @pytest.mark.parametrize("scheme", NEW_SCHEMES)
-    def test_workers2_runspec_matches_serial_fingerprint(self, scheme):
-        serial = run_fingerprint(_spec(scheme))
-        parallel = run_fingerprint(
-            _spec(scheme, config=dataclasses.replace(SMALL, sim_workers=2))
-        )
-        behavioral = {k: v for k, v in serial.items() if k != "spec_key"}
-        assert behavioral == {
-            k: v for k, v in parallel.items() if k != "spec_key"
-        }
-        # sim_workers deliberately stays in the cache key.
-        assert serial["spec_key"] != parallel["spec_key"]
-
-    def test_validated_schemes_keep_the_parallel_engine(self):
-        for name in ("ideal", "picl", "picl_l2", "nvoverlay"):
-            assert make_scheme(name).parallel_safe
-        for name in NEW_SCHEMES:
-            assert not make_scheme(name).parallel_safe
