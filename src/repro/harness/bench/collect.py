@@ -171,7 +171,7 @@ def run_scenario(
     arms the invariant oracle inside the timed region — that measures
     the checking overhead, so armed numbers must never be committed to
     the trajectory as if they were plain throughput.  (An armed oracle
-    also takes NVOverlay cells off the fast path.)
+    also takes every cell off the fast path.)
     """
     spec = scenario.spec(quick).with_changes(oracle=oracle)
     seconds: List[float] = []

@@ -167,13 +167,15 @@ def simulate(spec: RunSpec) -> RunRecord:
         scheduler.finalize(result.cycles)
 
     stats = machine.stats
+    # Key order, not insertion order: the fast path adds its deferred
+    # counters when the run ends, so insertion order depends on the path.
     nvm_bytes = {
         key.rsplit(".", 1)[-1]: value
-        for key, value in stats.counters("nvm.bytes").items()
+        for key, value in sorted(stats.counters("nvm.bytes").items())
     }
     evict_reasons = {
         key.rsplit(".", 1)[-1]: value
-        for key, value in stats.counters("evict_reason").items()
+        for key, value in sorted(stats.counters("evict_reason").items())
     }
     record = RunRecord(
         workload=spec.workload,

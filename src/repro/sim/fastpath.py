@@ -1,13 +1,17 @@
-"""NVOverlay's common case, hand-inlined: the fast path of ``Machine.run``.
+"""The common protocol transitions, hand-inlined: ``Machine.run``'s fast path.
 
-:func:`build` specializes Coherent Snapshot Tracking on a single-socket
-MESI directory machine — store-eviction, version write-backs to the OMC
-and the per-VD tag walkers — into closures over flat local state: the
-cache-set LRU dicts, the walker scan budgets and a local counter dict.
-Each closure replays the ``Hierarchy`` transition it replaces step for
-step, so a run is bit-identical to the reference path; cold protocol
-corners (remote-owner transfers, sharer invalidations, epoch advances,
-multi-epoch walker scans) call the ``Hierarchy`` methods themselves.
+:func:`build` specializes the single-socket MESI directory machine for
+one run into closures over flat local state: the cache-set LRU dicts, a
+local counter dict and, under NVOverlay, the walker scan budgets.  Every
+scheme runs them.  The version protocol (store-eviction, version
+write-backs to the OMC, epoch sync, the per-VD tag walkers) is gated on
+one closure constant, and the baselines' store and dirty-eviction hooks
+ride along as ``None``-checked locals, exactly where ``Hierarchy`` calls
+them.  Each closure replays the ``Hierarchy`` transition it replaces
+step for step, so a run is bit-identical to the reference path; cold
+protocol corners (remote-owner transfers, sharer invalidations, epoch
+advances, multi-epoch walker scans) call the ``Hierarchy`` methods
+themselves.
 
 ``Machine.run`` asks for the fast path at the start of every run.
 Outside the envelope of :func:`in_envelope`, or with a protocol oracle
@@ -34,8 +38,9 @@ class FastPath(NamedTuple):
     #: ``access(core_id, addr, size, is_store, now)`` -> latency, the
     #: twin of ``Hierarchy.execute_access``.
     access: Callable[[int, int, int, bool, int], int]
-    #: ``poll(now)``, the twin of ``NVOverlay.poll`` (every tag walker).
-    poll: Callable[[int], None]
+    #: ``poll(now)``, the twin of ``NVOverlay.poll`` (every tag walker);
+    #: None for other schemes, which keep their own ``poll``.
+    poll: Optional[Callable[[int], None]]
     #: Writes the deferred counters, the store token and the walker
     #: fields back; ``Machine.run`` calls it once, before ``finalize``.
     flush: Callable[[], None]
@@ -44,12 +49,12 @@ class FastPath(NamedTuple):
 def in_envelope(machine) -> bool:
     """Whether the hand-inlined transitions cover this machine.
 
-    They inline the single-socket MESI/directory protocol with the
-    version-access extension and NVOverlay's walker loop.  MOESI, snoop
-    transport, multi-socket hops, finite directories, NVM working
-    memory, scheme hooks on the store or eviction path, an overridden
-    or instance-patched ``poll`` / ``on_transaction_boundary`` and an
-    attached oracle or fault injector all leave the envelope.  Hooks are
+    They inline the single-socket MESI/directory protocol with DRAM
+    working memory, for any scheme.  MOESI, snoop transport,
+    multi-socket hops, finite directories, NVM working memory and an
+    attached oracle or fault injector leave the envelope.  The version
+    protocol additionally needs stock NVOverlay with plain tag walkers
+    and an unpatched ``poll`` / ``on_transaction_boundary``.  Hooks are
     compared against the class attributes as they are at call time, the
     way ``Machine.run`` resolves them, so class-level wrappers keep a
     machine inside and instance patches take it out.
@@ -58,18 +63,14 @@ def in_envelope(machine) -> bool:
         return False
     config = machine.config
     h = machine.hierarchy
-    if not h.versioned or h.moesi or h.snoop or h.working_nvm:
+    if h.moesi or h.snoop or h.working_nvm:
         return False
     if config.num_sockets != 1:
         return False
     if config.directory_entries_per_slice is not None:
         return False
-    if (
-        h._scheme_on_store is not None
-        or h._scheme_on_l2_dirty_eviction is not None
-        or h._scheme_on_llc_dirty_eviction is not None
-    ):
-        return False
+    if not h.versioned:
+        return True
     from ..core.nvoverlay import NVOverlay
     from ..core.tag_walker import TagWalker
 
@@ -95,10 +96,10 @@ def build(machine) -> Optional[FastPath]:
 
     Every counter bumped inline lands in a local dict that ``flush``
     adds into ``Stats`` once at the end — legal because fingerprints
-    hash the *final* counter values, never intermediate ones.  Cold
-    corners delegate to the hierarchy methods, which keep using
-    ``Stats`` directly; both accounting paths only ever add, so the
-    totals agree with the reference path exactly.
+    hash the *final* counter values, never intermediate ones, and no
+    scheme hook reads a counter mid-run.  Cold corners and scheme hooks
+    keep using ``Stats`` directly; both accounting paths only ever add,
+    so the totals agree with the reference path exactly.
     """
     if not in_envelope(machine):
         return None
@@ -137,6 +138,12 @@ def build(machine) -> Optional[FastPath]:
     dram_latency = h.dram.latency
     dram_occ = h.dram.OCCUPANCY
     line_bytes = CACHE_LINE_SIZE
+    # The version protocol's steps run only under NVOverlay; the
+    # baselines' hooks are the ``None``-checked locals Hierarchy binds.
+    versioned = h.versioned
+    on_store = h._scheme_on_store
+    on_l2_dirty_eviction = None if versioned else h._scheme_on_l2_dirty_eviction
+    on_llc_dirty_eviction = h._scheme_on_llc_dirty_eviction
     on_version_writeback = scheme.on_version_writeback
     on_version_migrate = scheme.on_version_migrate
     token = h._token
@@ -187,7 +194,7 @@ def build(machine) -> Optional[FastPath]:
         assert entry is not None, "inclusion violated: L1 write-back missed in L2"
         del cache_set[line]
         cache_set[line] = entry
-        if entry.state >= M and entry.oid < oid:
+        if versioned and entry.state >= M and entry.oid < oid:
             # Version write-back to the OMC (latency discarded here,
             # exactly as the hierarchy's PUTX rule discards it).
             c["net.omc_msgs"] += 1
@@ -220,8 +227,12 @@ def build(machine) -> Optional[FastPath]:
         entry = l2_set.get(line)
         assert entry is not None
         dirty = entry.state >= M
+        # An unversioned dirty line leaves the scheme's L2 domain after
+        # its LLC insert, which folds the LLC copy's state into ``dirty``.
+        l2_hook = on_l2_dirty_eviction if dirty else None
         if dirty:
             c["l2.dirty_evictions"] += 1
+        if dirty and versioned:
             # Version write-back to the OMC; this caller keeps the
             # latency and the line lands dirty in the LLC.
             c["net.omc_msgs"] += 1
@@ -245,7 +256,8 @@ def build(machine) -> Optional[FastPath]:
         elif len(llc_set) >= llc_ways:
             # Victim eviction (_evict_llc_victim): a dirty victim
             # posts a DRAM write-back — queued, latency discarded —
-            # and settles into working memory.
+            # settles into working memory and leaves the scheme's LLC
+            # domain (its stall joins the fill latency).
             victim = llc_set[next(iter(llc_set))]
             vline = victim.line
             if victim.state >= M:
@@ -262,6 +274,10 @@ def build(machine) -> Optional[FastPath]:
                 current = mem_lines.get(vline)
                 if current is None or victim.oid >= current[1]:
                     mem_lines[vline] = (victim.data, victim.oid)
+                if on_llc_dirty_eviction is not None:
+                    latency += on_llc_dirty_eviction(
+                        vline, victim.oid, victim.data, now
+                    )
             del llc_set[vline]
             c["llc.evictions"] += 1
             vshard = dir_shards[slice_id]
@@ -270,6 +286,8 @@ def build(machine) -> Optional[FastPath]:
                 del vshard[vline]
         llc_set.pop(line, None)
         llc_set[line] = CacheLine(line, M if dirty else S, entry.oid, entry.data)
+        if l2_hook is not None:
+            latency += l2_hook(vd.id, line, entry.oid, entry.data, REASON_CAPACITY, now)
         del l2_set[line]
         c["l2.evictions"] += 1
         shard = dir_shards[slice_id]
@@ -389,7 +407,7 @@ def build(machine) -> Optional[FastPath]:
                     data, oid, dirty = transfer
                     c["net.c2c_msgs"] += 1
                     nl += hop
-                    if dirty:
+                    if dirty and versioned:
                         on_version_migrate(owner_id, vd_id, line, oid, rnow)
                     llc_sets[slice_id][line % llc_num_sets].pop(line, None)
             if dentry.sharers:
@@ -403,7 +421,10 @@ def build(machine) -> Optional[FastPath]:
                     llc_set[line] = llc_entry
                     c[hit_key[slice_id]] += 1
                     data, oid = llc_entry.data, llc_entry.oid
-                    if llc_entry.state >= M:
+                    if llc_entry.state >= M and not versioned:
+                        # The dirty obligation travels up: install in M.
+                        dirty = True
+                    elif llc_entry.state >= M:
                         # Posted DRAM write-back: queued, latency
                         # discarded.
                         t = rnow + nl
@@ -421,7 +442,7 @@ def build(machine) -> Optional[FastPath]:
                             mem_lines[line] = (llc_entry.data, llc_entry.oid)
                     del llc_set[line]
                     mem_data, mem_oid = mem_lines.get(line, (0, 0))
-                    if mem_oid > oid:
+                    if versioned and mem_oid > oid:
                         data, oid = mem_data, mem_oid
                 else:
                     c[miss_key[slice_id]] += 1
@@ -470,7 +491,7 @@ def build(machine) -> Optional[FastPath]:
                         dentry.sharers.add(vd_id)
                     data, oid = llc_entry.data, llc_entry.oid
                     mem_data, mem_oid = mem_lines.get(line, (0, 0))
-                    if mem_oid > oid:
+                    if versioned and mem_oid > oid:
                         data, oid = mem_data, mem_oid
                 else:
                     c[miss_key[slice_id]] += 1
@@ -493,7 +514,7 @@ def build(machine) -> Optional[FastPath]:
             state = E if dentry.owner == vd_id else S
             istate = state
         latency += nl
-        if oid > vd.cur_epoch:
+        if versioned and oid > vd.cur_epoch:
             latency += h._epoch_sync(vd, oid, now + latency)
         # Hierarchy._install_l2, inlined.  ``l2_entry`` doubles as the
         # ``existing`` lookup (same object, argued above); a capacity
@@ -503,7 +524,7 @@ def build(machine) -> Optional[FastPath]:
             victim = l2_cache_set[next(iter(l2_cache_set))]
             latency += evict_l2_entry(vd, victim, inow)
         if l2_entry is not None and l2_entry.state >= M:
-            if l2_entry.oid < oid:
+            if versioned and l2_entry.oid < oid:
                 # Version write-back (latency discarded, as in the
                 # hierarchy's install path).
                 c["net.omc_msgs"] += 1
@@ -577,8 +598,13 @@ def build(machine) -> Optional[FastPath]:
                 del cache_set[line]  # lookup(touch=True)
                 cache_set[line] = entry
         # -- commit_store --
-        epoch = vd.cur_epoch
-        if entry.oid != epoch and entry.state >= M:
+        stall = (
+            on_store(core_id, vd.id, line, entry.oid, now + latency)
+            if on_store is not None
+            else 0
+        )
+        epoch = vd.cur_epoch if versioned else 0
+        if versioned and entry.oid != epoch and entry.state >= M:
             assert entry.oid < epoch, "version from the future survived sync"
             c["cst.store_evictions"] += 1
             l2_putx(vd, entry.line, entry.data, entry.oid, now + latency)
@@ -591,7 +617,7 @@ def build(machine) -> Optional[FastPath]:
         c["stores"] += 1
         if store_log is not None:
             store_log.append((entry.line, epoch, token, vd.id, core_id))
-        return latency
+        return latency + stall
 
     def fused_load(core_id, line, now):
         cache_set = l1_sets[core_id][line % l1_num_sets]
@@ -629,11 +655,13 @@ def build(machine) -> Optional[FastPath]:
             cache_set[line] = CacheLine(line, state, oid, data)
         return latency
 
-    # -- fused walker poll (flat per-walker arrays) --------------------
-    walkers = [w for w in scheme.walkers if w.enabled]
-    cluster = scheme.cluster
-    min_ver_seq = cluster.min_ver_seq
-    update_min_ver = cluster.update_min_ver
+    # -- fused walker poll (NVOverlay; flat per-walker arrays) ---------
+    walkers = []
+    if versioned:
+        walkers = [w for w in scheme.walkers if w.enabled]
+        cluster = scheme.cluster
+        min_ver_seq = cluster.min_ver_seq
+        update_min_ver = cluster.update_min_ver
     min_dirty_oid = h.min_dirty_oid
     cold_scan = h.walker_scan_set
     # Mutable per-walker state rides in one list per walker
@@ -740,4 +768,4 @@ def build(machine) -> Optional[FastPath]:
             if value:
                 inc(key, value)
 
-    return FastPath(access, fused_poll, flush)
+    return FastPath(access, fused_poll if versioned else None, flush)

@@ -40,7 +40,12 @@ EVICT_REASONS = (
 
 
 class SnapshotScheme:
-    """Base class: the no-op scheme.  Subclasses override selectively."""
+    """Base class: the no-op scheme.  Subclasses override selectively.
+
+    Hooks may add to ``machine.stats`` but must not read its counters
+    mid-run: ``Machine.run``'s fast path keeps the hierarchy's counters
+    in locals and adds them to ``Stats`` only when the run ends.
+    """
 
     name = "none"
     #: Enables NVOverlay's CST in the hierarchy: OID tagging, store-

@@ -8,10 +8,11 @@ This yields a deterministic interleaving that still lets fast threads run
 ahead the way real cores do, which matters for the distributed-epoch
 experiments (VDs genuinely skew when their threads progress unevenly).
 
-Each run takes its per-access and walker-poll functions from
-``fastpath.build``: NVOverlay's common case runs hand-inlined
-transitions, everything else (and every oracle- or fault-injected run)
-the ``Hierarchy`` methods.  Both paths produce bit-identical results.
+Each run takes its per-access function (and NVOverlay's walker poll)
+from ``fastpath.build``: every scheme on a single-socket MESI directory
+machine with DRAM working memory runs hand-inlined transitions,
+everything else (and every oracle- or fault-injected run) the
+``Hierarchy`` methods.  Both paths produce bit-identical results.
 """
 
 from __future__ import annotations
@@ -153,13 +154,15 @@ class Machine:
         poll_hook = scheme.poll
         if getattr(poll_hook, "__func__", None) is SnapshotScheme.poll:
             poll_hook = None
-        # NVOverlay's common case swaps in the hand-inlined transitions;
-        # every other run keeps the Hierarchy methods.
+        # The common case swaps in the hand-inlined transitions (and
+        # NVOverlay's fused walker poll); every other run keeps the
+        # Hierarchy methods.
         fast = fastpath.build(self)
         self.fast_path = fast is not None
         if fast is not None:
             execute_access = fast.access
-            poll_hook = fast.poll
+            if fast.poll is not None:
+                poll_hook = fast.poll
         # Transaction boundaries are quiescent points, so this is where
         # the oracle may run its full structural scans (epoch advances
         # fire mid-operation and are not safe scan points).

@@ -4,23 +4,29 @@ Determinism is the whole contract: a run on the fast path must equal
 the reference path — the ``Hierarchy`` methods — bit for bit.  An armed
 protocol oracle keeps a run on the reference path, so every parity test
 here compares an unarmed run against an armed run of the same workload.
-These tests pin which runs take which path and cover what the fast path
-carries along: ``max_transactions``, lazily generated workloads, latency
-histograms, snapshot serving and resumed machines.  The heavyweight
-sweeps are the golden-parity legs (``test_golden_parity.py``) and the
-fuzzer's fast-vs-reference leg (``test_fuzz_protocol.py``).
+These tests pin which runs take which path (every scheme on the
+single-socket MESI directory machine) and cover what the fast path
+carries along: the baselines' store, eviction and ``poll`` hooks,
+``max_transactions``, lazily generated workloads, latency histograms,
+snapshot serving and resumed machines.  The heavyweight sweeps are the
+golden-parity legs (``test_golden_parity.py``) and the fuzzer's
+fast-vs-reference leg over every scheme (``test_fuzz_protocol.py``).
 """
+
+import json
 
 import pytest
 
+from repro.baselines import ICLogging
 from repro.core import NVOverlay, NVOverlayParams
 from repro.faults import FaultInjector
 from repro.harness import runner
-from repro.harness.runner import make_scheme, simulate
+from repro.harness.runner import SCHEMES, make_scheme, simulate
 from repro.harness.spec import RunSpec
 from repro.oracle.invariants import ProtocolOracle
 from repro.serve import ServePolicy
 from repro.sim import Machine, SystemConfig, machine_for
+from repro.sim.config import CacheGeometry
 from repro.workloads import make_workload
 
 SCALE = 0.05
@@ -39,14 +45,16 @@ def _fingerprint(machine, result):
         machine.stats.counters(),
         machine.hierarchy.memory_image(),
         machine.hierarchy.store_log,
+        machine.nvm.bandwidth_series(),
     )
 
 
-def _run_both(workload="uniform", prepare=None, **run_kwargs):
+def _run_both(workload="uniform", prepare=None, scheme="nvoverlay",
+              config=None, **run_kwargs):
     """Run one workload unarmed and oracle-armed; return both machines."""
     runs = []
     for oracle in (None, ProtocolOracle()):
-        machine = Machine(SystemConfig(), scheme=make_scheme("nvoverlay"),
+        machine = Machine(config or SystemConfig(), scheme=make_scheme(scheme),
                           capture_store_log=True, oracle=oracle)
         if prepare is not None:
             prepare(machine)
@@ -67,10 +75,14 @@ def test_machine_for_is_machine():
     assert machine_for is Machine
 
 
-@pytest.mark.parametrize("config", [
+FAST_PATH_CONFIGS = [
     SystemConfig(),
     SystemConfig.scaled(64, batch_epoch_sync=True),
-], ids=["default", "64c-batched"])
+]
+FAST_PATH_CONFIG_IDS = ["default", "64c-batched"]
+
+
+@pytest.mark.parametrize("config", FAST_PATH_CONFIGS, ids=FAST_PATH_CONFIG_IDS)
 def test_nvoverlay_takes_the_fast_path(config):
     machine = Machine(config, scheme=make_scheme("nvoverlay"))
     assert not machine.fast_path  # decided per run, not at construction
@@ -78,17 +90,28 @@ def test_nvoverlay_takes_the_fast_path(config):
     assert machine.fast_path
 
 
+@pytest.mark.parametrize(
+    "scheme", [name for name in SCHEMES if name != "nvoverlay"]
+)
+@pytest.mark.parametrize("config", FAST_PATH_CONFIGS, ids=FAST_PATH_CONFIG_IDS)
+def test_baselines_take_the_fast_path(config, scheme):
+    """Ideal and every baseline run the fused transitions too."""
+    machine = Machine(config, scheme=make_scheme(scheme))
+    assert not machine.fast_path
+    machine.run(_workload(cores=config.num_cores, scale=0.02))
+    assert machine.fast_path
+
+
 @pytest.mark.parametrize("scheme,config,kwargs", [
-    ("picl", SystemConfig(), {}),
-    ("icl", SystemConfig(), {}),
-    ("jass_adaptive", SystemConfig(), {}),
-    ("msync_snapshot", SystemConfig(), {}),
     ("nvoverlay", SystemConfig(coherence_protocol="moesi"), {}),
+    ("picl", SystemConfig(coherence_protocol="moesi"), {}),
+    ("nvoverlay", SystemConfig(coherence_transport="snoop"), {}),
+    ("ideal", SystemConfig(working_memory="nvm"), {}),
     ("nvoverlay", SystemConfig.scaled(8, cores_per_vd=4, num_sockets=2), {}),
     ("nvoverlay", SystemConfig(directory_entries_per_slice=256), {}),
     ("nvoverlay", SystemConfig(), {"oracle": ProtocolOracle()}),
     ("nvoverlay", SystemConfig(), {"fault_injector": FaultInjector(None)}),
-], ids=["picl", "icl", "jass_adaptive", "msync_snapshot", "moesi",
+], ids=["moesi", "picl-moesi", "snoop", "nvm-working-memory",
         "multi-socket", "finite-directory", "oracle", "fault-injector"])
 def test_reference_path_cases(scheme, config, kwargs):
     machine = Machine(config, scheme=make_scheme(scheme), **kwargs)
@@ -112,6 +135,30 @@ def test_instance_patched_poll_is_called():
     result = machine.run(_workload(scale=0.02))
     assert not machine.fast_path
     assert len(calls) == result.transactions
+
+
+def test_instance_patched_baseline_poll_rides_the_fast_path():
+    """A baseline keeps its own ``poll`` on the fast path, so an instance
+    patch on it is called once per transaction.  (ICL's ``finalize``
+    drains its pruner through ``poll`` too; those calls come after.)"""
+    machine = Machine(SystemConfig(), scheme=make_scheme("icl"))
+    scheme = machine.scheme
+    calls = []
+    calls_before_finalize = []
+
+    def poll(now):
+        calls.append(now)
+        ICLogging.poll(scheme, now)
+
+    def finalize(now):
+        calls_before_finalize.append(len(calls))
+        ICLogging.finalize(scheme, now)
+
+    scheme.poll = poll
+    scheme.finalize = finalize
+    result = machine.run(_workload(scale=0.02))
+    assert machine.fast_path
+    assert calls_before_finalize == [result.transactions]
 
 
 def test_class_level_wrapper_keeps_the_fast_path(monkeypatch):
@@ -140,6 +187,31 @@ def test_parity_default_geometry():
     _run_both()
 
 
+def _hook_config():
+    """A 16 KB LLC, so dirty lines leave the L2s and the LLC often, and
+    no back-pressure slack, so every background hook write stalls."""
+    return SystemConfig(
+        llc_geometry=CacheGeometry(16 * 1024, 4, 30), nvm_backpressure_cycles=0
+    )
+
+
+@pytest.mark.parametrize("scheme,exercised", [
+    ("picl", "llc.dirty_evictions"),  # on_llc_dirty_eviction
+    ("picl_l2", "l2.dirty_evictions"),  # on_l2_dirty_eviction
+    ("icl", "icl.pruned_entries"),  # the scheme's own poll
+    ("jass_adaptive", "nvm.sync_writes"),  # on_store sync writes
+])
+def test_parity_of_a_baseline(scheme, exercised):
+    """Scheme hooks ride the fused transitions, stall cycles included."""
+    fast, _ = _run_both(scheme=scheme, config=_hook_config())
+    assert fast.stats.get(exercised) > 0
+    if scheme == "jass_adaptive":
+        # Epoch commits stall every core (stall_all_cores_until).
+        assert fast._global_stall_until > 0
+    else:
+        assert fast.stats.get("nvm.backpressure_cycles") > 0
+
+
 def test_parity_with_max_transactions():
     fast, _ = _run_both(max_transactions=40)
     assert fast.stats.get("stores") > 0
@@ -163,12 +235,16 @@ def test_parity_of_latency_histograms():
 
 def test_parity_of_a_resumed_machine():
     """A machine resumed from a recovered image (``load_image``) reads
-    the installed lines through the same memory on both paths."""
+    the installed lines through the same memory on both paths, under
+    NVOverlay and under a baseline (whose stores write OID 0, below the
+    installed lines' OID 1)."""
     seed = Machine(SystemConfig(), scheme=make_scheme("ideal"))
     seed.run(_workload(seed=9, scale=0.02))
     image = seed.hierarchy.memory_image()
     assert image
-    _run_both(prepare=lambda machine: machine.load_image(image, oid=1))
+    for scheme in ("nvoverlay", "picl"):
+        _run_both(scheme=scheme,
+                  prepare=lambda machine: machine.load_image(image, oid=1))
 
 
 def test_parity_of_a_serve_record(monkeypatch):
@@ -203,3 +279,19 @@ def test_parity_of_a_serve_record(monkeypatch):
         if not key.startswith("oracle_")
     }
     assert fast == reference
+
+
+def test_record_text_is_independent_of_the_path():
+    """The fast path registers its deferred counters when the run ends,
+    so ``Stats`` keys arrive in a different order than on the reference
+    path; ``simulate`` builds ``nvm_bytes`` and ``evict_reasons`` in key
+    order, so both records serialize to the same text."""
+    spec = RunSpec(workload="load_burst", scheme="nvoverlay", scale=0.02)
+    fast = simulate(spec).to_dict()
+    reference = simulate(spec.with_changes(oracle=True)).to_dict()
+    reference["extra"] = {
+        key: value for key, value in reference["extra"].items()
+        if not key.startswith("oracle_")
+    }
+    assert len(fast["evict_reasons"]) > 2
+    assert json.dumps(fast) == json.dumps(reference)

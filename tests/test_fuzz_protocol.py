@@ -12,11 +12,12 @@ oracle-armed under nvoverlay and ideal on one of several geometries —
 * nvoverlay and ideal agree on every scheme-independent identity
   (store counts, per-line writer histograms, uncontested final writers).
 
-A second sweep replays the seeds of the single-socket geometries, plus
-a 64-core scaled machine, unarmed and armed: the unarmed run takes
+A second sweep replays the seeds of the single-socket geometries under
+every registered scheme, plus a 64-core scaled machine under ideal,
+picl and nvoverlay, unarmed and armed: the unarmed run takes
 ``Machine.run``'s fast path, the armed one the ``Hierarchy`` reference
 methods, and the two must be bit-identical — the fuzzer covers both
-execution paths.
+execution paths for every scheme.
 
 The seed budget defaults to ~200 spread evenly across the geometries;
 set ``REPRO_FUZZ_SEEDS`` to deepen it (e.g. ``REPRO_FUZZ_SEEDS=2000``
@@ -30,7 +31,7 @@ from typing import List
 import pytest
 
 from repro.core.snapshot import golden_image
-from repro.harness.runner import make_scheme
+from repro.harness.runner import SCHEMES, make_scheme
 from repro.oracle.differential import (
     compare_outcomes,
     freeze_workload,
@@ -141,26 +142,28 @@ def test_fuzz_geometry(geometry_index):
         )
 
 
-#: The fast-path leg: (seed stripe, geometry).  The single-socket fuzz
-#: geometries keep their own seed stripes; the 64-core scaled machine
-#: (this leg only) borrows the stripe of the 64-core multi-socket mesh.
+#: The fast-path leg: (seed stripe, geometry, schemes).  The
+#: single-socket fuzz geometries keep their own seed stripes and replay
+#: every registered scheme; the 64-core scaled machine (this leg only)
+#: borrows the stripe of the 64-core multi-socket mesh and replays the
+#: trio perfbench's 64-core workload runs.
 FAST_PATH_GEOMETRIES = [
-    (0, GEOMETRIES[0]),
-    (2, GEOMETRIES[2]),
-    (4, (64, 2, 1, True)),
+    (0, GEOMETRIES[0], tuple(SCHEMES)),
+    (2, GEOMETRIES[2], tuple(SCHEMES)),
+    (4, (64, 2, 1, True), ("ideal", "picl", "nvoverlay")),
 ]
 
 
 @pytest.mark.parametrize(
-    "stripe,geometry", FAST_PATH_GEOMETRIES,
+    "stripe,geometry,schemes", FAST_PATH_GEOMETRIES,
     ids=[f"{c}c-{v}pv-{s}s{'-batched' if b else ''}"
-         for _, (c, v, s, b) in FAST_PATH_GEOMETRIES],
+         for _, (c, v, s, b), _ in FAST_PATH_GEOMETRIES],
 )
-def test_fuzz_fast_path_parity(stripe, geometry):
+def test_fuzz_fast_path_parity(stripe, geometry, schemes):
     """Every fuzz seed must be bit-identical on the fast path and the
-    reference path: same cycles, per-thread cycles, counters, memory
-    image and store log, with a clean structural check of the fast
-    path's hierarchy."""
+    reference path under every scheme: same cycles, per-thread cycles,
+    counters, memory image, store log and NVM bandwidth series, with a
+    clean structural check of the fast path's hierarchy."""
     cores, cores_per_vd, sockets, batch = geometry
     config = SystemConfig.scaled(
         cores,
@@ -170,30 +173,37 @@ def test_fuzz_fast_path_parity(stripe, geometry):
     )
     for seed in _seeds_for(stripe):
         frozen = freeze_workload(FuzzWorkload(cores, seed))
-        fast = Machine(config, scheme=make_scheme("nvoverlay"),
-                       capture_store_log=True)
-        fast_result = fast.run(frozen)
-        assert fast.fast_path, f"seed {seed} left the fast path"
-        validate_hierarchy(fast.hierarchy)
-        reference = Machine(config, scheme=make_scheme("nvoverlay"),
-                            capture_store_log=True, oracle=ProtocolOracle())
-        reference_result = reference.run(frozen)
-        assert not reference.fast_path
-        mismatch = {
-            field: (getattr(reference_result, field), getattr(fast_result, field))
-            for field in ("cycles", "stores", "transactions", "per_thread_cycles")
-            if getattr(reference_result, field) != getattr(fast_result, field)
-        }
-        if reference.stats.counters() != fast.stats.counters():
-            mismatch["counters"] = "diverged"
-        if reference.hierarchy.memory_image() != fast.hierarchy.memory_image():
-            mismatch["memory_image"] = "diverged"
-        if reference.hierarchy.store_log != fast.hierarchy.store_log:
-            mismatch["store_log"] = "diverged"
-        assert not mismatch, (
-            f"seed {seed} ({cores}c): fast path diverged from the "
-            f"reference path: {mismatch}"
-        )
+        for name in schemes:
+            fast = Machine(config, scheme=make_scheme(name),
+                           capture_store_log=True)
+            fast_result = fast.run(frozen)
+            assert fast.fast_path, f"seed {seed}: {name} left the fast path"
+            validate_hierarchy(fast.hierarchy)
+            reference = Machine(config, scheme=make_scheme(name),
+                                capture_store_log=True,
+                                oracle=ProtocolOracle())
+            reference_result = reference.run(frozen)
+            assert not reference.fast_path
+            mismatch = {
+                field: (getattr(reference_result, field),
+                        getattr(fast_result, field))
+                for field in ("cycles", "stores", "transactions",
+                              "per_thread_cycles")
+                if getattr(reference_result, field)
+                != getattr(fast_result, field)
+            }
+            if reference.stats.counters() != fast.stats.counters():
+                mismatch["counters"] = "diverged"
+            if reference.hierarchy.memory_image() != fast.hierarchy.memory_image():
+                mismatch["memory_image"] = "diverged"
+            if reference.hierarchy.store_log != fast.hierarchy.store_log:
+                mismatch["store_log"] = "diverged"
+            if reference.nvm.bandwidth_series() != fast.nvm.bandwidth_series():
+                mismatch["bandwidth_series"] = "diverged"
+            assert not mismatch, (
+                f"seed {seed} ({cores}c): {name} diverged on the fast "
+                f"path from the reference path: {mismatch}"
+            )
 
 
 #: The related-work additions, fuzzed against ideal on two geometries

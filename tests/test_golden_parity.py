@@ -10,9 +10,9 @@ cycle count or memory byte is a semantics change, not an optimization.
 Every cell runs twice, and both legs must match every behavioural hash:
 
 * ``serial`` — the default unarmed run, as every user run takes it:
-  cells inside the fast-path envelope (stock NVOverlay on a
-  single-socket MESI machine) run ``repro.sim.fastpath``'s hand-inlined
-  transitions;
+  cells inside the fast-path envelope (any scheme on a single-socket
+  MESI directory machine with DRAM working memory; every cell here)
+  run ``repro.sim.fastpath``'s hand-inlined transitions;
 * ``armed`` — the protocol oracle attached, which keeps the run on the
   ``Hierarchy`` reference methods with every invariant checked.
 
@@ -29,6 +29,7 @@ from pathlib import Path
 import pytest
 
 from repro.harness.bench import run_fingerprint
+from repro.harness.runner import SCHEMES
 from repro.harness.spec import RunSpec
 from repro.sim.config import SystemConfig
 
@@ -92,11 +93,12 @@ def test_fingerprint_matches_seed(cell, oracle):
 
 
 def test_fixture_covers_all_pinned_schemes_and_three_workloads():
+    """Every registered scheme has a default-geometry cell: all of them
+    run the fast path, so each needs a pinned fingerprint."""
     pairs = {(c["workload"], c["scheme"]) for c in _CELLS}
     assert len(pairs) >= 10
-    assert {s for _, s in pairs} == {
-        "nvoverlay", "picl", "icl", "jass_adaptive", "msync_snapshot",
-    }
+    default = {c["scheme"] for c in _CELLS if c.get("cores") is None}
+    assert default == {s for _, s in pairs} == set(SCHEMES)
     assert len({w for w, _ in pairs}) >= 3
 
 
@@ -120,10 +122,16 @@ def test_fixture_pins_scaled_geometries():
     """32- and 64-core fingerprints guard the scale-out refactors."""
     cores = {c.get("cores") for c in _CELLS}
     assert {None, 32, 64} <= cores
-    for scale in (32, 64):
+    expected = {32: {"nvoverlay", "picl"}, 64: {"nvoverlay", "picl", "ideal"}}
+    for scale, pinned in expected.items():
         schemes = {c["scheme"] for c in _CELLS if c.get("cores") == scale}
-        assert schemes == {"nvoverlay", "picl"}
-    assert any(c.get("batch_epoch_sync") for c in _CELLS)
+        assert schemes == pinned
+    # The uniform_64c geometry (64 cores, batched sync) pins its trio.
+    batched = {
+        c["scheme"] for c in _CELLS
+        if c.get("cores") == 64 and c.get("batch_epoch_sync")
+    }
+    assert {"nvoverlay", "ideal"} <= batched
 
 
 def test_fingerprint_is_deterministic():
