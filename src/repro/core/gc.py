@@ -10,17 +10,21 @@ addresses had just been written — after which the source sub-pages drop
 to zero references and their pages return to the pool.
 
 Compaction costs NVM data writes (one line per surviving version), which
-is the write-amplification/storage trade-off §V-F lets users make.
+is the write-amplification/storage trade-off §V-F lets users make.  It
+finds its work from the pool's sub-pages and their ``master_refs``, never
+by walking the Master Table: a pass costs the live sub-pages, plus the
+slots of partly-live unretained sub-pages, plus the versions it moves.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from ..sim.config import CACHE_LINE_SIZE, PAGE_SIZE
 
 if TYPE_CHECKING:  # pragma: no cover
     from .omc import OMC, OMCCluster
+    from .page_pool import SubPage
 
 
 def compact_if_needed(cluster: "OMCCluster", now: int) -> int:
@@ -46,17 +50,37 @@ def compact(
 ) -> int:
     """Copy live versions out of the oldest epochs (§V-D).
 
-    Walks master-referenced versions grouped by the epoch that produced
-    them, oldest first, relocating them into the current epoch until the
-    pool fits within ``target_pages`` (or everything old moved).  Returns
-    the number of versions relocated.
+    Groups the sub-pages with ``master_refs > 0`` by the epoch that
+    produced them and, oldest epoch first, relocates their live versions
+    into the current epoch in ascending line order until the pool fits
+    within ``target_pages`` (or everything old moved).  Returns the
+    number of versions relocated.
 
     Versions in retained (time-travel) sub-pages are never moved, but
     the skips are accounted rather than silent so callers can retry:
     ``compaction_skipped_pinned`` counts lines an active snapshot
     session still pins (epoch >= ``pin_floor``) — those free up when the
     session releases; ``compaction_skipped_retained`` counts lines whose
-    retention the caller could drop first (``drop_epochs_before``).
+    retention the caller could drop first (``drop_epochs_before``).  A
+    retained sub-page adds its ``master_refs`` without its lines being
+    read, except in an epoch where the quota stops the pass: there only
+    lines below the stop line count.
+
+    The result is bit-identical to walking the Master Table line by line:
+
+    * Compaction never runs inside a merge (``reclaim`` and
+      ``_advance_rec_epoch`` call it after ``commit_merge``), so
+      ``master_refs`` equals the number of Master Table entries pointing
+      into the sub-page: the referenced sub-pages span exactly the
+      epochs of the table's entries, and a slot is live exactly when
+      the table maps its line to that slot.
+    * No sub-page changes kind during a pass.  A relocation lowers
+      ``master_refs`` only on the moved line's own source sub-page and
+      fills only new, unretained sub-pages of ``target_epoch``, above
+      every candidate epoch.  So whole sub-pages are skipped as each of
+      their lines would be, and an epoch's movable lines, sorted up
+      front, are visited in the line-by-line walk's order.
+    * The end-of-epoch "freed nothing" break is unchanged.
     """
     if target_pages:
         # An undersized quota must degrade to steady-state packing, not
@@ -69,7 +93,12 @@ def compact(
         target_pages = max(target_pages, best_possible)
         if omc.pool.pages_in_use() <= target_pages:
             return 0
-    by_epoch = _live_versions_by_epoch(omc)
+    pool = omc.pool
+    by_epoch: Dict[int, List["SubPage"]] = {}
+    for subpage in pool.subpages():
+        epoch = omc._subpage_epoch.get(subpage.id)
+        if subpage.master_refs and epoch is not None:
+            by_epoch.setdefault(epoch, []).append(subpage)
     if not by_epoch:
         return 0
     target_epoch = max(
@@ -84,41 +113,42 @@ def compact(
     moved = 0
     skipped_pinned = 0
     skipped_retained = 0
-    at_quota = False
     for epoch in candidates:
-        if epoch >= target_epoch:
-            break
-        pages_before = omc.pool.pages_in_use()
-        for line in by_epoch[epoch]:
-            location = omc.master.lookup(line)
-            if location is None:
-                continue
-            subpage = omc.pool.subpage(location.subpage_id)
+        pages_before = pool.pages_in_use()
+        retained: List["SubPage"] = []
+        movable: List[Tuple[int, int, int]] = []
+        for subpage in by_epoch[epoch]:
             if subpage.retained:
-                if pin_floor is not None and epoch >= pin_floor:
-                    skipped_pinned += 1
-                else:
-                    skipped_retained += 1
-                continue
-            if subpage.master_refs >= subpage.capacity:
-                # Every slot live: this sub-page wastes no space, so
-                # relocating it can never free a page — it would only be
-                # write amplification (re-compacting last pass's output).
-                continue
-            _line, oid, data = omc.pool.read_version(
-                location.subpage_id, location.slot
-            )
+                retained.append(subpage)
+            elif subpage.master_refs < subpage.capacity:
+                movable.extend(_live_versions(omc, subpage))
+            # else every slot is live: this sub-page wastes no space, so
+            # relocating it can never free a page — it would only be
+            # write amplification (re-compacting last pass's output).
+        stop_line = None
+        for line, oid, data in sorted(movable):
             _relocate(omc, line, oid, data, target_epoch, now)
             moved += 1
             # Check the quota after every relocation, not once per epoch:
             # a dense epoch used to be drained wholesale, overshooting the
             # target and burning NVM data writes the quota never asked for.
-            if target_pages and omc.pool.pages_in_use() <= target_pages:
-                at_quota = True
+            if target_pages and pool.pages_in_use() <= target_pages:
+                stop_line = line
                 break
-        if at_quota:
+        if stop_line is None:
+            skipped = sum(subpage.master_refs for subpage in retained)
+        else:  # only the retained lines a line-by-line walk passed
+            skipped = sum(
+                version[0] < stop_line
+                for subpage in retained for version in _live_versions(omc, subpage)
+            )
+        if pin_floor is not None and epoch >= pin_floor:
+            skipped_pinned += skipped
+        else:
+            skipped_retained += skipped
+        if stop_line is not None:
             break
-        if moved and omc.pool.pages_in_use() >= pages_before:
+        if moved and pool.pages_in_use() >= pages_before:
             # Draining the oldest remaining epoch freed nothing; newer
             # epochs are denser still, so pressing on is pure churn.
             break
@@ -131,15 +161,17 @@ def compact(
     return moved
 
 
-def _live_versions_by_epoch(omc: "OMC") -> Dict[int, List[int]]:
-    """Master-referenced lines grouped by the epoch of their sub-page."""
-    by_epoch: Dict[int, List[int]] = {}
-    for line, location in omc.master.entries():
-        epoch = omc._subpage_epoch.get(location.subpage_id)
-        if epoch is None:
-            continue
-        by_epoch.setdefault(epoch, []).append(line)
-    return by_epoch
+def _live_versions(omc: "OMC", subpage: "SubPage") -> List[Tuple[int, int, int]]:
+    """(line, oid, data) of each slot the Master Table maps its line to."""
+    read, lookup, subpage_id = omc.pool.read_version, omc.master.lookup, subpage.id
+    live = []
+    for slot in range(subpage.used):
+        version = read(subpage_id, slot)
+        location = lookup(version[0])
+        if (location is not None and location.subpage_id == subpage_id
+                and location.slot == slot):
+            live.append(version)
+    return live
 
 
 def _relocate(omc: "OMC", line: int, oid: int, data: int, target_epoch: int, now: int) -> None:

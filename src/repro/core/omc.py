@@ -288,14 +288,14 @@ class OMC:
     def _free_subpage(self, subpage_id: int) -> None:
         epoch = self._subpage_epoch.pop(subpage_id, None)
         if epoch is not None:
-            # Drop any placement cursor that points at this sub-page.
+            # Drop the placement cursor if it still points at this
+            # sub-page.  It can only sit under the page of the lines the
+            # sub-page holds (every placement writes slot 0 at once).
+            page = self.pool.read_version(subpage_id, 0)[0] >> 6
             for cursor_map in (self._cursors, self._reloc_cursors):
-                cursors = cursor_map.get(epoch)
-                if cursors is None:
-                    continue
-                for page, subpage in list(cursors.items()):
-                    if subpage.id == subpage_id:  # type: ignore[union-attr]
-                        del cursors[page]
+                cursor = cursor_map.get(epoch, {}).get(page)
+                if cursor is not None and cursor.id == subpage_id:  # type: ignore[attr-defined]
+                    del cursor_map[epoch][page]
         self.pool.free_subpage(subpage_id)
 
     def drop_epochs_before(self, epoch: int) -> None:

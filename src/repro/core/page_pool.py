@@ -19,7 +19,7 @@ reads can materialise real snapshot images.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..sim.config import CACHE_LINE_SIZE, PAGE_SIZE
 from ..sim.stats import Stats
@@ -140,6 +140,10 @@ class PagePool:
 
     def subpage(self, subpage_id: int) -> SubPage:
         return self._subpages[subpage_id]
+
+    def subpages(self) -> Iterable[SubPage]:
+        """Every live sub-page (a view: don't free while iterating it)."""
+        return self._subpages.values()
 
     # -- version slots --------------------------------------------------------
     def write_version(self, subpage: SubPage, line: int, oid: int, data: int) -> int:

@@ -285,23 +285,13 @@ def run_fingerprint(spec: RunSpec) -> Dict[str, Any]:
     working-memory image (data tokens *and* per-line OIDs), the
     hierarchy's merged memory image (caches included) and the spec's
     cache key.  Two implementations of the simulator are behaviorally
-    identical on ``spec`` iff these hashes match.
+    identical on ``spec`` iff these hashes match.  The cell runs through
+    ``simulate``'s own construction path (``run_cell``), so a serve spec
+    is fingerprinted with its reader sessions and GC attached.
     """
-    from ...sim import Machine
-    from ...workloads import make_workload
-    from ..runner import make_scheme
+    from ..runner import run_cell
 
-    config = spec.resolved_config
-    oracle = None
-    if spec.oracle:
-        from ...oracle import ProtocolOracle
-
-        oracle = ProtocolOracle()
-    machine = Machine(config, scheme=make_scheme(spec.scheme, spec.nvo_params),
-                      oracle=oracle)
-    workload = make_workload(spec.workload, num_threads=config.num_cores,
-                             scale=spec.scale, seed=spec.seed)
-    result = machine.run(workload)
+    machine, _workload, _scheduler, result = run_cell(spec)
     stats = machine.stats
     counters = sorted(stats.counters().items())
     series = {

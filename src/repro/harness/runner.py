@@ -124,15 +124,15 @@ def make_scheme(name: str, nvo_params: Optional[NVOverlayParams] = None) -> Snap
     return SCHEMES[name]()
 
 
-def simulate(spec: RunSpec) -> RunRecord:
-    """Run one cell, unconditionally (no cache).  Pure in ``spec``."""
-    if spec.crash_plan is not None:
-        # Crash-plan cells are verification runs: crash, recover, diff
-        # against the golden replay.  Lazy import — faults.verify pulls
-        # the harness back in.
-        from ..faults.verify import crashed_run_record
+def run_cell(spec: RunSpec) -> Tuple[Any, Any, Any, Any]:
+    """Build ``spec``'s machine, workload and readers; run to completion.
 
-        return crashed_run_record(spec)
+    The one construction path behind ``simulate`` and the golden-parity
+    fingerprint (``repro.harness.bench.run_fingerprint``), so a serve
+    cell is fingerprinted with its reader sessions and GC attached.
+    Returns ``(machine, workload, scheduler, result)``; ``scheduler`` is
+    None unless ``spec.serve`` is set, and is already finalized.
+    """
     config = spec.resolved_config
     scheme = make_scheme(spec.scheme, spec.nvo_params)
     oracle = None
@@ -165,7 +165,20 @@ def simulate(spec: RunSpec) -> RunRecord:
     result = machine.run(workload)
     if scheduler is not None:
         scheduler.finalize(result.cycles)
+    return machine, workload, scheduler, result
 
+
+def simulate(spec: RunSpec) -> RunRecord:
+    """Run one cell, unconditionally (no cache).  Pure in ``spec``."""
+    if spec.crash_plan is not None:
+        # Crash-plan cells are verification runs: crash, recover, diff
+        # against the golden replay.  Lazy import — faults.verify pulls
+        # the harness back in.
+        from ..faults.verify import crashed_run_record
+
+        return crashed_run_record(spec)
+    machine, workload, scheduler, result = run_cell(spec)
+    scheme, oracle = machine.scheme, machine.oracle
     stats = machine.stats
     # Key order, not insertion order: the fast path adds its deferred
     # counters when the run ends, so insertion order depends on the path.

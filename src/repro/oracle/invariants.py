@@ -24,6 +24,12 @@ not just at run end:
   *and* strictly below every dirty version still cached anywhere
   (§V-B).  The second bound is the ground truth the min-ver protocol
   approximates, so a skipped or inflated walker report trips it.
+* **Master reference counts** — at every committed rec-epoch advance
+  and before every reclaim, each live sub-page's ``master_refs`` equals
+  the number of Master Table entries pointing into it, and no entry
+  points at a freed sub-page.  Version compaction reads liveness and
+  its skip counts off ``master_refs``, so a drifted count would move or
+  strand versions silently.
 
 Violations raise :class:`InvariantViolation` carrying the invariant
 name, the cycle, and the window of trace events that preceded the
@@ -37,6 +43,7 @@ bit-identical to unarmed ones (``tests/test_bench.py`` pins this).
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Any, Dict, List, Optional
 
 from ..sim import validate
@@ -286,6 +293,7 @@ class ProtocolOracle:
                     now,
                 )
         self._check_merged_reachability(old, new, now)
+        self._check_master_refs(now)
 
     def _check_merged_reachability(self, old: int, new: int, now: int) -> None:
         """Every version of a just-merged epoch resolves via the Master
@@ -306,6 +314,31 @@ class ProtocolOracle:
                             "Master Table",
                             now,
                         )
+
+    def _check_master_refs(self, now: int) -> None:
+        """Each live sub-page's ``master_refs`` counts exactly the Master
+        Table entries pointing into it (outside a merge)."""
+        for omc in self.cluster.omcs:
+            entries = Counter(
+                location.subpage_id for _line, location in omc.master.entries()
+            )
+            for subpage in omc.pool.subpages():
+                counted = entries.pop(subpage.id, 0)
+                if subpage.master_refs != counted:
+                    self._fail(
+                        "master-refs",
+                        f"OMC {omc.id} sub-page {subpage.id} records "
+                        f"{subpage.master_refs} master refs but the Master "
+                        f"Table points into it {counted} times",
+                        now,
+                    )
+            if entries:
+                self._fail(
+                    "master-refs",
+                    f"OMC {omc.id}'s Master Table points into freed "
+                    f"sub-pages {sorted(entries)}",
+                    now,
+                )
 
     # -- snapshot-serving hooks (repro.serve) -----------------------------
     def on_session_acquire(self, session_id: int, epoch: int, now: int) -> None:
@@ -397,6 +430,7 @@ class ProtocolOracle:
                 f"frontier {cluster.rec_epoch}",
                 now,
             )
+        self._check_master_refs(now)
 
     # -- periodic / on-demand structural scans ----------------------------
     def poll(self, now: int) -> None:

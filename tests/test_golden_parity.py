@@ -19,6 +19,11 @@ Every cell runs twice, and both legs must match every behavioural hash:
 The ``spec_key`` hash is only compared for the unarmed leg: ``oracle``
 joins the cache key, so the armed spec hashes elsewhere.
 
+One cell is a serve cell: the ``timetravel`` load scenario's nvoverlay
+leg at scale 0.025 (32 snapshot reader sessions, reclaim every 64 write
+transactions, a pool quota tight enough that version compaction runs),
+so the fingerprint pins GC and compaction as well as the write path.
+
 These are the heaviest tier-1 tests (many full small-scale runs); the
 cells stay at scale 0.2 so the whole file runs in tens of seconds.
 """
@@ -30,7 +35,8 @@ import pytest
 
 from repro.harness.bench import run_fingerprint
 from repro.harness.runner import SCHEMES
-from repro.harness.spec import RunSpec
+from repro.harness.spec import RunSpec, nvo_params_from_dict
+from repro.serve import ServePolicy
 from repro.sim.config import SystemConfig
 
 FIXTURE = Path(__file__).parent / "data" / "golden_parity.json"
@@ -46,6 +52,8 @@ def _cell_id(cell):
         geometry += "-batched"
     if cell.get("nvm_profile", "local") != "local":
         geometry += f"-{cell['nvm_profile']}"
+    if cell.get("serve"):
+        geometry += "-serve"
     return f"{cell['workload']}-{cell['scheme']}{geometry}"
 
 
@@ -73,6 +81,9 @@ def test_fingerprint_matches_seed(cell, oracle):
         scale=cell["scale"],
         seed=cell["seed"],
         oracle=oracle,
+        capture_latency=cell.get("capture_latency", False),
+        nvo_params=nvo_params_from_dict(cell.get("nvo_params")),
+        serve=ServePolicy.from_dict(cell["serve"]) if cell.get("serve") else None,
     )
     fingerprint = run_fingerprint(spec)
     expected = cell["fingerprint"]
@@ -132,6 +143,16 @@ def test_fixture_pins_scaled_geometries():
         if c.get("cores") == 64 and c.get("batch_epoch_sync")
     }
     assert {"nvoverlay", "ideal"} <= batched
+
+
+def test_fixture_pins_a_serve_cell_with_gc():
+    """The timetravel serve cell keeps readers, reclaim and compaction
+    under the behavioural contract."""
+    serve = [c for c in _CELLS if c.get("serve")]
+    assert serve, "no serve cell in the fixture"
+    for cell in serve:
+        assert cell["scheme"] == "nvoverlay"
+        assert cell["nvo_params"]["quota_pages"] is not None
 
 
 def test_fingerprint_is_deterministic():

@@ -170,6 +170,40 @@ class TestMutations:
             oracle.on_epoch_advance(vd, cur, cur + oracle._half, now=0)
         self._assert_violation(excinfo.value, "epoch-skew")
 
+    def test_drifted_master_refs_fire_at_rec_epoch_advance(self):
+        # Short epochs, so the recoverable epoch advances mid-run.
+        config = SystemConfig(num_cores=4, cores_per_vd=2, epoch_size_stores=50)
+        oracle = ProtocolOracle(scan_interval=8)
+        machine = Machine(config, scheme=make_scheme("nvoverlay"), oracle=oracle)
+        cluster = machine.scheme.cluster
+        drifted = []
+
+        def corrupt(now):
+            # The bug, mid-run: a sub-page's reference count drifts from
+            # the Master Table, which compaction trusts for liveness.
+            omc = next((o for o in cluster.omcs if len(o.master)), None)
+            if omc is not None and not drifted:
+                _line, location = next(iter(omc.master.entries()))
+                omc.pool.subpage(location.subpage_id).master_refs += 1
+                drifted.append(cluster.rec_epoch)
+
+        machine.txn_hook = corrupt
+        wl = make_workload("uniform", num_threads=config.num_cores, scale=0.05)
+        with pytest.raises(InvariantViolation) as excinfo:
+            machine.run(wl)
+        self._assert_violation(excinfo.value, "master-refs")
+        assert cluster.rec_epoch > drifted[0]
+
+    def test_drifted_master_refs_fire_before_reclaim(self):
+        machine, oracle = run_armed("uniform", "nvoverlay")
+        cluster = machine.scheme.cluster
+        omc = next(o for o in cluster.omcs if len(o.master))
+        _line, location = next(iter(omc.master.entries()))
+        omc.pool.subpage(location.subpage_id).master_refs -= 1
+        with pytest.raises(InvariantViolation) as excinfo:
+            cluster.reclaim(now=0)
+        self._assert_violation(excinfo.value, "master-refs")
+
     def test_inflated_walker_report_fires_min_ver_report(self):
         machine, oracle = run_armed("uniform", "nvoverlay")
         vd = machine.hierarchy.vds[0]
