@@ -41,7 +41,7 @@ class BuggyWorkload(Workload):
         self.corrupt_at = inserts // 2
         self.fix_at = self.corrupt_at + 40
 
-    def transactions(self, thread_id: int):
+    def access_batches(self, thread_id: int):
         import random
 
         rng = random.Random(thread_id * 977)
@@ -51,7 +51,7 @@ class BuggyWorkload(Workload):
             if thread_id == 7 and index in (self.corrupt_at, self.fix_at):
                 view.read(self.counter, 8)
                 view.write(self.counter, 8)  # the stomp (and the fix)
-            yield view.take()
+            yield view.take_accesses()
 
 
 def main() -> None:

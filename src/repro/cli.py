@@ -63,7 +63,7 @@ from .harness.bench import REGRESSION_THRESHOLD as BENCH_REGRESSION_THRESHOLD
 from .harness.cache import RunCache
 from .harness.runner import SCHEMES, compare, run_one
 from .harness.spec import RunSpec
-from .workloads import capture_trace, make_workload, save_trace, workload_names
+from .workloads import freeze_workload, make_workload, save_trace, workload_names
 
 EXPERIMENTS = {
     "table1": lambda args, opts: _render_table1(),
@@ -95,8 +95,22 @@ def _experiment_options(args) -> dict:
         "progress": _print_progress,
     }
     if getattr(args, "workloads", None):
-        opts["workloads"] = args.workloads.split(",")
+        opts["workloads"] = args.workloads
     return opts
+
+
+def _workload_name(name: str) -> str:
+    """argparse type: a registered workload name."""
+    if name not in workload_names():
+        raise argparse.ArgumentTypeError(
+            f"unknown workload {name!r}; known: {', '.join(workload_names())}"
+        )
+    return name
+
+
+def _workload_list(names: str) -> List[str]:
+    """argparse type: a comma-separated list of registered workload names."""
+    return [_workload_name(name) for name in names.split(",")]
 
 
 def _print_progress(cell) -> None:
@@ -244,7 +258,7 @@ def _cmd_trace(args) -> int:
         return _protocol_trace(args)
     workload = make_workload(args.workload, num_threads=args.threads,
                              scale=args.scale, seed=args.seed)
-    count = save_trace(args.out, capture_trace(workload))
+    count = save_trace(args.out, freeze_workload(workload))
     print(f"wrote {count} ops to {args.out}")
     return 0
 
@@ -812,7 +826,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, with_scheme=False):
-        p.add_argument("--workload", default="btree",
+        p.add_argument("--workload", default="btree", type=_workload_name,
                        help="workload name (see `workloads`)")
         p.add_argument("--scale", type=float, default=0.5,
                        help="operation-count multiplier")
@@ -855,7 +869,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--scale", type=float, default=0.5)
     p_exp.add_argument("--bursty", action="store_true",
                        help="fig17: bursty debugging epochs")
-    p_exp.add_argument("--workloads", default=None,
+    p_exp.add_argument("--workloads", default=None, type=_workload_list,
                        help="comma-separated workload subset (fig11/12/13)")
     parallel_opts(p_exp)
     p_exp.set_defaults(func=_cmd_experiment)
@@ -921,6 +935,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="comma-separated schemes (vs the ideal "
                                 "baseline)")
     p_scaling.add_argument("--workload", default="uniform",
+                           type=_workload_name,
                            help="workload name (see `workloads`)")
     p_scaling.add_argument("--scale", type=float, default=0.2,
                            help="per-core operation-count multiplier")
@@ -969,6 +984,7 @@ def build_parser() -> argparse.ArgumentParser:
              "write stream (repro.serve)",
     )
     p_serve.add_argument("--workload", default="load_burst",
+                         type=_workload_name,
                          help="workload driving the write side")
     p_serve.add_argument("--scale", type=float, default=0.1,
                          help="write-traffic multiplier")

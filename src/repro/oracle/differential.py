@@ -5,12 +5,12 @@ when and where bytes become persistent.  ``run_differential`` executes
 one workload under several schemes and cross-checks them:
 
 The workload is materialized ONCE into a frozen per-thread trace
-(:func:`freeze_workload`) and that identical trace replays under every
-scheme.  This matters: the bundled index workloads generate accesses
-lazily against a shared structure, so a live workload's addresses would
-depend on the machine's (scheme-dependent) interleaving and nothing
-would be comparable.  A frozen trace is scheme-independent by
-construction.
+(``repro.workloads.freeze_workload``) and that identical trace replays
+under every scheme.  This matters: the bundled index workloads generate
+accesses lazily against a shared structure, so a live workload's
+addresses would depend on the machine's (scheme-dependent) interleaving
+and nothing would be comparable.  A frozen trace is scheme-independent
+by construction.
 
 * **Per scheme**: the final hierarchy memory image equals the replay of
   that run's own committed store log (the golden image), i.e. no scheme
@@ -46,51 +46,6 @@ from ..core.snapshot import SnapshotReader, golden_image
 #: Default scheme set: the contribution, the closest baseline, and the
 #: no-snapshot machine.
 DEFAULT_SCHEMES = ("nvoverlay", "picl", "ideal")
-
-
-class FrozenWorkload:
-    """A fully materialized per-thread access trace (replayable N times)."""
-
-    def __init__(self, batches: Dict[int, List[List[tuple]]]) -> None:
-        self.num_threads = len(batches)
-        self._batches = batches
-
-    def access_batches(self, thread_id: int):
-        return iter(self._batches[thread_id])
-
-    def transactions(self, thread_id: int):  # pragma: no cover - compat
-        from ..sim.trace import LOAD, STORE, MemOp
-
-        for batch in self._batches[thread_id]:
-            yield [
-                MemOp(STORE if is_store else LOAD, addr, size)
-                for addr, size, is_store in batch
-            ]
-
-
-def freeze_workload(workload) -> FrozenWorkload:
-    """Materialize a workload into a fixed trace, one thread-round-robin
-    transaction at a time.
-
-    The round-robin pull order is itself a valid interleaving of the
-    shared data structure, and — unlike a live run — it never changes,
-    so every scheme replays byte-identical per-thread streams.
-    """
-    from ..sim.trace import access_stream
-
-    streams = {
-        tid: access_stream(workload, tid)
-        for tid in range(workload.num_threads)
-    }
-    batches: Dict[int, List[List[tuple]]] = {tid: [] for tid in streams}
-    live = set(streams)
-    while live:
-        for tid in sorted(live):
-            try:
-                batches[tid].append(next(streams[tid]))
-            except StopIteration:
-                live.discard(tid)
-    return FrozenWorkload(batches)
 
 
 class DifferentialMismatch(AssertionError):
@@ -269,7 +224,7 @@ def run_differential(
     # harness itself imports this package lazily.
     from ..harness.runner import make_scheme
     from ..sim import Machine, SystemConfig
-    from ..workloads import make_workload
+    from ..workloads import freeze_workload, make_workload
     from .invariants import ProtocolOracle
 
     config = config or SystemConfig()

@@ -36,7 +36,7 @@ from .scheme import (
 )
 from .stats import Stats
 from .system import Machine, RunResult, machine_for
-from .trace import LOAD, STORE, MemOp, TraceRecorder, load, store
+from .trace import load, store
 from .validate import InvariantViolation, validate_hierarchy
 from .wear import WearReport, WearTracker
 
@@ -51,11 +51,9 @@ __all__ = [
     "Hierarchy",
     "Interconnect",
     "InvariantViolation",
-    "LOAD",
     "MESI",
     "Machine",
     "MainMemory",
-    "MemOp",
     "NVM",
     "NoSnapshot",
     "PAGE_SHIFT",
@@ -66,14 +64,12 @@ __all__ = [
     "REASON_STORE_EVICT",
     "REASON_TAG_WALK",
     "RunResult",
-    "STORE",
     "SnapshotScheme",
     "Stats",
     "SystemConfig",
     "CacheArray",
     "CacheGeometry",
     "CacheLine",
-    "TraceRecorder",
     "WRITE_CATEGORIES",
     "WearReport",
     "WearTracker",

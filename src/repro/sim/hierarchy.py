@@ -292,9 +292,9 @@ class Hierarchy:
     ) -> int:
         """Run one access given as plain fields; returns its latency.
 
-        The runner feeds it straight from workload access batches
-        without building ``MemOp`` objects.  Single-line accesses (the
-        overwhelmingly common case) skip the per-line loop.
+        The runner feeds it straight from workload access batches.
+        Single-line accesses (the overwhelmingly common case) skip the
+        per-line loop.
         """
         first = addr >> CACHE_LINE_SHIFT
         last = (addr + size - 1) >> CACHE_LINE_SHIFT

@@ -20,7 +20,7 @@ from __future__ import annotations
 import heapq
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Iterator, List, Optional
 
 from . import fastpath
 from .config import SystemConfig
@@ -31,7 +31,14 @@ from .memory import MainMemory
 from .nvm import NVM
 from .scheme import NoSnapshot, SnapshotScheme
 from .stats import Stats
-from .trace import access_stream
+from .trace import Access
+
+
+def access_stream(workload, thread_id: int) -> Iterator[List[Access]]:
+    """One thread's transaction stream.  ``Machine.run`` looks this name
+    up in the module globals, so a profiler can wrap it to time workload
+    generation."""
+    return workload.access_batches(thread_id)
 
 
 @dataclass

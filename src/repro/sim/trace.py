@@ -1,113 +1,24 @@
-"""Memory-operation records and trace utilities.
+"""The access record workloads produce and the simulator consumes.
 
-Workloads produce per-thread streams of *transactions*: short lists of
-``MemOp`` that execute back-to-back on one core (e.g. all the node
-accesses of a single B+Tree insert).  The runner interleaves transactions
-across threads by simulated clock, so the unit of interleaving is the
-transaction, not the instruction — see DESIGN.md fidelity notes.
-
-Two stream shapes exist.  ``transactions(tid)`` yields ``List[MemOp]``
-— the original, object-per-access API every external workload already
-implements.  ``access_batches(tid)`` yields flat
-``List[(addr, size, is_store)]`` tuples — the allocation-free twin the
-simulator's inner loop consumes.  :func:`access_stream` picks the right
-one for a given workload: a natively-implemented ``access_batches``
-runs as-is, anything else (including plain duck-typed objects and
-subclasses that override only ``transactions``) is converted on the
-fly.  Both shapes drive byte-identical simulations.
+Workloads produce per-thread streams of *transactions*: lists of flat
+``(addr, size, is_store)`` accesses that execute back-to-back on one
+core (e.g. all the node accesses of a single B+Tree insert).  The
+runner interleaves transactions across threads by simulated clock, so
+the unit of interleaving is the transaction, not the instruction — see
+DESIGN.md fidelity notes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Sequence, Tuple
+from typing import Tuple
 
-LOAD = "ld"
-STORE = "st"
-
-#: Flat access record consumed by ``Hierarchy.execute_access``.
-Access = Tuple[int, int, bool]  # (addr, size, is_store)
+#: One memory access: byte address, size in bytes, store flag.
+Access = Tuple[int, int, bool]
 
 
-def batches_from_transactions(
-    transactions: Iterable[Sequence["MemOp"]],
-) -> Iterator[List[Access]]:
-    """Convert a MemOp transaction stream into flat access batches."""
-    for txn in transactions:
-        yield [(op.addr, op.size, op.kind == STORE) for op in txn]
+def load(addr: int, size: int = 8) -> Access:
+    return (addr, size, False)
 
 
-def access_stream(workload, thread_id: int) -> Iterator[List[Access]]:
-    """Resolve a workload's per-thread stream of flat access batches.
-
-    Uses the workload's native ``access_batches`` when its class (or a
-    base of it) defines one *above* any ``transactions`` override in the
-    MRO — so a subclass that customizes only ``transactions`` keeps its
-    behavior, converted lazily.  Methods derived by the ``Workload``
-    base class are marked ``_derived`` and never chosen directly; plain
-    objects exposing only ``transactions`` work unchanged.
-    """
-    for klass in type(workload).__mro__:
-        batches = klass.__dict__.get("access_batches")
-        if batches is not None:
-            if getattr(batches, "_derived", False):
-                break  # base-class converter: transactions is the native one
-            return workload.access_batches(thread_id)
-        if "transactions" in klass.__dict__:
-            break  # a transactions definition is the most specific stream
-    return batches_from_transactions(workload.transactions(thread_id))
-
-
-@dataclass(frozen=True)
-class MemOp:
-    """One memory access: kind, byte address, size in bytes."""
-
-    kind: str
-    addr: int
-    size: int = 8
-
-    def __post_init__(self) -> None:
-        if self.kind not in (LOAD, STORE):
-            raise ValueError(f"bad op kind {self.kind!r}")
-        if self.addr < 0:
-            raise ValueError("negative address")
-        if self.size <= 0:
-            raise ValueError("size must be positive")
-
-    @property
-    def is_store(self) -> bool:
-        return self.kind == STORE
-
-
-def load(addr: int, size: int = 8) -> MemOp:
-    return MemOp(LOAD, addr, size)
-
-
-def store(addr: int, size: int = 8) -> MemOp:
-    return MemOp(STORE, addr, size)
-
-
-Transaction = Sequence[MemOp]
-
-
-class TraceRecorder:
-    """Captures transactions so a run can be replayed deterministically."""
-
-    def __init__(self) -> None:
-        self._transactions: List[tuple[int, List[MemOp]]] = []
-
-    def record(self, thread: int, transaction: Iterable[MemOp]) -> None:
-        self._transactions.append((thread, list(transaction)))
-
-    def replay(self) -> Iterator[tuple[int, List[MemOp]]]:
-        return iter(self._transactions)
-
-    def ops_for_thread(self, thread: int) -> List[MemOp]:
-        ops: List[MemOp] = []
-        for tid, txn in self._transactions:
-            if tid == thread:
-                ops.extend(txn)
-        return ops
-
-    def __len__(self) -> int:
-        return len(self._transactions)
+def store(addr: int, size: int = 8) -> Access:
+    return (addr, size, True)

@@ -40,9 +40,10 @@ from .tenant import (
     TenantLoadWorkload,
 )
 from .tracefile import (
+    FrozenWorkload,
     TraceFormatError,
     TraceWorkload,
-    capture_trace,
+    freeze_workload,
     load_trace,
     save_trace,
 )
@@ -82,6 +83,7 @@ __all__ = [
     "PAPER_WORKLOADS",
     "RedBlackTree",
     "DEFAULT_TENANTS",
+    "FrozenWorkload",
     "SSCA2",
     "Streaming",
     "TENANT_CLASSES",
@@ -98,7 +100,7 @@ __all__ = [
     "YCSB_MIXES",
     "Yada",
     "Zipfian",
-    "capture_trace",
+    "freeze_workload",
     "load_trace",
     "make_workload",
     "register_workload",

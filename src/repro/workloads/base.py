@@ -15,28 +15,20 @@ harness and benches can instantiate them uniformly:
 from __future__ import annotations
 
 import random
-from abc import ABC
+from abc import ABC, abstractmethod
 from typing import Callable, Dict, Iterator, List
 
-from ..sim.trace import LOAD, STORE, Access, MemOp
+from ..sim.trace import Access
 from .memview import MemView
 
 
 class Workload(ABC):
     """Per-thread transaction streams over simulated memory.
 
-    Subclasses implement **one** of two stream shapes (the base class
-    derives the other):
-
-    * ``transactions(tid)`` — yields ``List[MemOp]`` per transaction
-      (the original API; all external subclasses keep working);
-    * ``access_batches(tid)`` — yields flat ``(addr, size, is_store)``
-      tuple lists, which the simulator consumes without building a
-      ``MemOp`` per access (the fast path the bundled workloads use).
-
-    The derived directions are marked ``_derived`` so the runner's
-    ``repro.sim.trace.access_stream`` can tell native implementations
-    from conversions and never recurses.
+    Subclasses implement ``access_batches(tid)``: a lazy iterator that
+    yields one list of flat ``(addr, size, is_store)`` accesses per
+    transaction, usually recorded into a ``MemView`` and handed over
+    with ``take_accesses()``.
     """
 
     name = "workload"
@@ -46,32 +38,9 @@ class Workload(ABC):
             raise ValueError("need at least one thread")
         self.num_threads = num_threads
 
-    def transactions(self, thread_id: int) -> Iterator[List[MemOp]]:
-        """The transaction stream of one thread (a lazy generator)."""
-        if type(self).access_batches is Workload.access_batches:
-            raise TypeError(
-                f"{type(self).__name__} must implement transactions() "
-                "or access_batches()"
-            )
-        for batch in self.access_batches(thread_id):
-            yield [
-                MemOp(STORE if is_store else LOAD, addr, size)
-                for addr, size, is_store in batch
-            ]
-
-    transactions._derived = True  # type: ignore[attr-defined]
-
+    @abstractmethod
     def access_batches(self, thread_id: int) -> Iterator[List[Access]]:
-        """Flat-tuple twin of ``transactions`` (see class docstring)."""
-        if type(self).transactions is Workload.transactions:
-            raise TypeError(
-                f"{type(self).__name__} must implement transactions() "
-                "or access_batches()"
-            )
-        for txn in self.transactions(thread_id):
-            yield [(op.addr, op.size, op.kind == STORE) for op in txn]
-
-    access_batches._derived = True  # type: ignore[attr-defined]
+        """The transaction stream of one thread."""
 
 
 class IndexInsertWorkload(Workload):

@@ -2,26 +2,22 @@
 
 Workload code (B+Tree, ART, hash table...) manipulates *simulated*
 memory: every field read/write goes through a ``MemView``, which records
-a ``MemOp`` at the corresponding byte address.  The structure's logical
-state lives in ordinary Python objects; what the simulator consumes is
-the faithful address trace of the operations — descents, splits, shifts,
-rehashes — at the layout the structure defines.
+a flat ``(addr, size, is_store)`` access at the corresponding byte
+address.  The structure's logical state lives in ordinary Python
+objects; what the simulator consumes is the faithful address trace of
+the operations — descents, splits, shifts, rehashes — at the layout the
+structure defines.
 
 One ``MemView`` accumulates the accesses of a single operation, which
-the workload then yields as one transaction.
-
-Internally accesses are recorded as flat ``(addr, size, is_store)``
-tuples — the shape the simulator's inner loop consumes — so the hot
-record path never allocates a ``MemOp``.  ``take()`` still materializes
-``MemOp`` objects for callers on the classic transaction API;
-``take_accesses()`` hands the raw tuples over.
+the workload then hands over with ``take_accesses()`` and yields as one
+transaction.
 """
 
 from __future__ import annotations
 
 from typing import List
 
-from ..sim.trace import LOAD, STORE, Access, MemOp
+from ..sim.trace import Access
 
 
 class MemView:
@@ -53,13 +49,6 @@ class MemView:
         """Return and clear the recorded (addr, size, is_store) tuples."""
         accesses, self._accesses = self._accesses, []
         return accesses
-
-    def take(self) -> List[MemOp]:
-        """Return and clear the recorded transaction as ``MemOp``s."""
-        return [
-            MemOp(STORE if is_store else LOAD, addr, size)
-            for addr, size, is_store in self.take_accesses()
-        ]
 
     def __len__(self) -> int:
         return len(self._accesses)

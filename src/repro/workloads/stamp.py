@@ -30,7 +30,7 @@ from __future__ import annotations
 import random
 from typing import Iterator, List
 
-from ..sim.trace import MemOp
+from ..sim.trace import Access
 from .alloc import AddressSpace
 from .base import Workload, register_workload
 from .hash_table import HashTable
@@ -51,12 +51,12 @@ class _StampWorkload(Workload):
     def _rng(self, thread_id: int) -> random.Random:
         return random.Random((self.seed << 10) ^ (thread_id * 7919))
 
-    def transactions(self, thread_id: int) -> Iterator[List[MemOp]]:
+    def access_batches(self, thread_id: int) -> Iterator[List[Access]]:
         rng = self._rng(thread_id)
         view = MemView()
         for index in range(self.txns_per_thread):
             self.build_txn(thread_id, index, rng, view)
-            yield view.take()
+            yield view.take_accesses()
 
     def build_txn(self, thread_id: int, index: int, rng: random.Random, view: MemView) -> None:
         raise NotImplementedError
@@ -195,7 +195,7 @@ class Vacation(_StampWorkload):
         view = MemView()
         for _ in range(512):
             self.db.insert(warm.getrandbits(24), 1, view)
-        view.take()
+        view.take_accesses()
 
     def build_txn(self, thread_id, index, rng, view):
         for _ in range(3):

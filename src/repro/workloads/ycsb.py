@@ -98,7 +98,7 @@ class YCSBWorkload(Workload):
             key = loader.getrandbits(30)
             self.index.insert(key, key, view)
             self.keys.append(key)
-        view.take()
+        view.take_accesses()
 
     def _pick_key(self, rng: random.Random, latest_bias: bool) -> int:
         rank = self._zipf.rank(rng, len(self.keys))

@@ -19,6 +19,23 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "--scheme", "bogus"])
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "--workload", "nope"],
+        ["compare", "--workload", "nope"],
+        ["trace", "--workload", "nope", "--out", "x.trace"],
+        ["diff", "--workload", "nope"],
+        ["crash-sweep", "--workload", "nope"],
+        ["scaling", "--workload", "nope"],
+        ["serve", "--workload", "nope"],
+        ["experiment", "fig11", "--workloads", "btree,nope"],
+    ])
+    def test_unknown_workload_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "unknown workload 'nope'" in err and "btree" in err
+
     def test_experiment_names(self):
         args = build_parser().parse_args(["experiment", "fig13"])
         assert args.name == "fig13"

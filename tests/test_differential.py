@@ -15,14 +15,13 @@ import pytest
 from repro.core.mapping import RadixTree
 from repro.oracle.differential import (
     DifferentialMismatch,
-    FrozenWorkload,
     SchemeOutcome,
     compare_outcomes,
-    freeze_workload,
     run_differential,
     summarize_log,
 )
 from repro.sim import SystemConfig
+from repro.workloads import FrozenWorkload, freeze_workload, make_workload
 
 SMALL = SystemConfig(num_cores=4, cores_per_vd=2, epoch_size_stores=400)
 
@@ -109,28 +108,23 @@ class TestCompareOutcomes:
 
 class TestFreezeWorkload:
     def test_frozen_trace_is_replayable_and_stable(self):
-        from repro.sim.trace import access_stream
-        from repro.workloads import make_workload
-
         # btree is the adversarial case: its live streams mutate one
         # shared index in simulator-interleaving order.
         frozen = freeze_workload(
             make_workload("btree", num_threads=4, scale=0.05, seed=1)
         )
         assert isinstance(frozen, FrozenWorkload)
-        first = [list(access_stream(frozen, tid)) for tid in range(4)]
-        second = [list(access_stream(frozen, tid)) for tid in range(4)]
+        first = [list(frozen.access_batches(tid)) for tid in range(4)]
+        second = [list(frozen.access_batches(tid)) for tid in range(4)]
         assert first == second
         assert any(batch for batches in first for batch in batches)
 
     def test_freeze_is_deterministic_across_instances(self):
-        from repro.workloads import make_workload
-
         make = lambda: freeze_workload(
             make_workload("btree", num_threads=4, scale=0.05, seed=7)
         )
         a, b = make(), make()
-        assert a._batches == b._batches
+        assert a.batches == b.batches
 
 
 class TestRadixTreeModel:

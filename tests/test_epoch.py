@@ -263,8 +263,7 @@ class TestEpochSyncBatcherMultiSocket:
 
     @staticmethod
     def _frozen(cores):
-        from repro.oracle.differential import freeze_workload
-        from repro.workloads import make_workload
+        from repro.workloads import freeze_workload, make_workload
 
         return freeze_workload(
             make_workload("uniform", num_threads=cores, scale=0.05, seed=9)

@@ -55,7 +55,7 @@ class TestPiCLRelogging:
         class W:
             num_threads = 1
 
-            def transactions(self, tid):
+            def access_batches(self, tid):
                 yield [store(line_addr)]
                 # Force the line out of the L2 domain.
                 vd = hierarchy.vds[0]

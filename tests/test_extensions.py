@@ -44,7 +44,7 @@ class TestSnapshotDiff:
         class W:
             num_threads = 1
 
-            def transactions(self, tid):
+            def access_batches(self, tid):
                 yield [store(0x4000)]
                 yield [store(0x4040)]
                 hierarchy.advance_epoch(hierarchy.vds[0], 5, 0)
@@ -75,7 +75,7 @@ class TestSnapshotDiff:
         class W:
             num_threads = 1
 
-            def transactions(self, tid):
+            def access_batches(self, tid):
                 yield [store(0x4000)]
                 hierarchy.advance_epoch(hierarchy.vds[0], 3, 0)
                 yield [store(0x8000)]  # new line in epoch 3
@@ -95,7 +95,7 @@ class TestEpochsTouching:
         class W:
             num_threads = 1
 
-            def transactions(self, tid):
+            def access_batches(self, tid):
                 yield [store(0x4000)]
                 hierarchy.advance_epoch(hierarchy.vds[0], 4, 0)
                 yield [store(0x8000)]

@@ -32,16 +32,12 @@ import pytest
 
 from repro.core.snapshot import golden_image
 from repro.harness.runner import SCHEMES, make_scheme
-from repro.oracle.differential import (
-    compare_outcomes,
-    freeze_workload,
-    summarize_log,
-)
+from repro.oracle.differential import compare_outcomes, summarize_log
 from repro.oracle.invariants import ProtocolOracle
 from repro.sim import Machine, SystemConfig
 from repro.sim.trace import load, store
 from repro.sim.validate import validate_hierarchy
-from repro.workloads import Workload
+from repro.workloads import Workload, freeze_workload
 
 #: (num_cores, cores_per_vd, num_sockets, batch_epoch_sync) — deliberately
 #: off the paper's 16-core/2-per-VD point: single-core VDs, 8-core VDs,
@@ -76,7 +72,7 @@ class FuzzWorkload(Workload):
         super().__init__(num_threads)
         self.seed = seed
 
-    def transactions(self, thread_id: int):
+    def access_batches(self, thread_id: int):
         rng = random.Random((self.seed << 8) ^ thread_id)
         footprint = rng.choice([1 << 10, 1 << 12, 1 << 14])
         shared_fraction = rng.choice([0.1, 0.3, 0.6])

@@ -57,6 +57,34 @@ class TestRunner:
         assert records["nvoverlay"].extra["normalized_write_bytes"] == 1.0
         assert records["picl"].extra["normalized_cycles"] > 0
 
+    @pytest.mark.parametrize("scheme", ["ideal", "picl"])
+    def test_finished_machine_freed_without_the_collector(self, scheme,
+                                                          monkeypatch):
+        """``simulate`` breaks the machine <-> scheme cycle, so a finished
+        cell's machine dies with its last reference, not at a later
+        full pass of the cyclic collector."""
+        import gc
+        import weakref
+
+        from repro.harness import runner
+
+        build = runner.machine_for
+        built = []
+
+        def recording_build(*args, **kwargs):
+            machine = build(*args, **kwargs)
+            built.append(weakref.ref(machine))
+            return machine
+
+        monkeypatch.setattr(runner, "machine_for", recording_build)
+        gc.disable()
+        try:
+            runner.simulate(RunSpec(workload="uniform", scheme=scheme,
+                                    config=SMALL, scale=TINY_SCALE))
+            assert built and built[0]() is None
+        finally:
+            gc.enable()
+
 
 class TestExperiments:
     def test_table1_rows_and_nvoverlay_column(self):

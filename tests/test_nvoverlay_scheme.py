@@ -126,7 +126,7 @@ class TestEpochWrapAround:
         class W:
             num_threads = 3
 
-            def transactions(self, tid):
+            def access_batches(self, tid):
                 if tid == 0:
                     for epoch in range(2, 12):
                         hierarchy.advance_epoch(hierarchy.vds[0], epoch, 0)

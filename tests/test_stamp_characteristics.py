@@ -7,7 +7,7 @@ these tests pin those axes so a refactor cannot silently flatten them.
 
 from collections import Counter
 
-from repro.sim import LOAD, STORE, page_of
+from repro.sim import page_of
 from repro.workloads import make_workload
 
 
@@ -15,14 +15,16 @@ def ops_of(name, threads=4, scale=0.3, seed=2):
     workload = make_workload(name, num_threads=threads, scale=scale, seed=seed)
     per_thread = {}
     for tid in range(threads):
-        per_thread[tid] = [op for txn in workload.transactions(tid) for op in txn]
+        per_thread[tid] = [
+            access for txn in workload.access_batches(tid) for access in txn
+        ]
     return per_thread
 
 
 class TestLabyrinth:
     def test_private_buffers_rewritten_every_transaction(self):
         per_thread = ops_of("labyrinth")
-        stores = [op.addr for op in per_thread[0] if op.kind == STORE]
+        stores = [addr for addr, _, is_store in per_thread[0] if is_store]
         counts = Counter(stores)
         # The private copy buffer's lines are written once per txn.
         assert counts.most_common(1)[0][1] > 10
@@ -32,7 +34,7 @@ class TestLabyrinth:
         hot = []
         for tid in (0, 1):
             stores = Counter(
-                op.addr for op in per_thread[tid] if op.kind == STORE
+                addr for addr, _, is_store in per_thread[tid] if is_store
             )
             hot.append({addr for addr, n in stores.items() if n > 5})
         assert not (hot[0] & hot[1])
@@ -42,8 +44,8 @@ class TestIntruder:
     def test_queue_head_is_globally_hot(self):
         per_thread = ops_of("intruder")
         all_stores = Counter(
-            op.addr for ops in per_thread.values() for op in ops
-            if op.kind == STORE
+            addr for ops in per_thread.values() for addr, _, is_store in ops
+            if is_store
         )
         hottest, count = all_stores.most_common(1)[0]
         # Every transaction of every thread touches the queue head.
@@ -55,8 +57,8 @@ class TestKMeans:
     def test_partition_rewritten_across_passes(self):
         per_thread = ops_of("kmeans", scale=0.5)
         stores = Counter(
-            op.addr for op in per_thread[0]
-            if op.kind == STORE and op.size == 8 and op.addr % 64 == 56
+            addr for addr, size, is_store in per_thread[0]
+            if is_store and size == 8 and addr % 64 == 56
         )
         # Label fields are re-dirtied once per pass: multiple passes seen.
         assert stores and max(stores.values()) >= 2
@@ -64,7 +66,7 @@ class TestKMeans:
     def test_centroids_shared_across_threads(self):
         per_thread = ops_of("kmeans")
         per_thread_stores = [
-            {op.addr for op in ops if op.kind == STORE}
+            {addr for addr, _, is_store in ops if is_store}
             for ops in per_thread.values()
         ]
         shared = per_thread_stores[0] & per_thread_stores[1]
@@ -75,7 +77,7 @@ class TestYada:
     def test_leaf_density_high_but_pages_scattered(self):
         per_thread = ops_of("yada")
         pages = Counter(
-            page_of(op.addr) for ops in per_thread.values() for op in ops
+            page_of(addr) for ops in per_thread.values() for addr, _, _ in ops
         )
         assert max(pages) - min(pages) > 1000  # scattered placement
         # Dense within pages: average touched page sees many accesses.
@@ -85,8 +87,8 @@ class TestYada:
 class TestGenome:
     def test_alternates_insert_and_lookup_phases(self):
         workload = make_workload("genome", num_threads=1, scale=0.2, seed=2)
-        txns = list(workload.transactions(0))
-        store_counts = [sum(1 for op in t if op.kind == STORE) for t in txns]
+        txns = list(workload.access_batches(0))
+        store_counts = [sum(1 for _, _, is_store in t if is_store) for t in txns]
         # Insert txns write; matching txns are read-only.
         assert any(c > 0 for c in store_counts[0::2])
         assert all(c == 0 for c in store_counts[1::2])
@@ -96,6 +98,6 @@ class TestSSCA2:
     def test_read_dominated(self):
         per_thread = ops_of("ssca2")
         ops = per_thread[0]
-        loads = sum(1 for op in ops if op.kind == LOAD)
+        loads = sum(1 for _, _, is_store in ops if not is_store)
         stores = len(ops) - loads
         assert loads > 3 * stores

@@ -59,8 +59,8 @@ class TestRunner:
         machine = Machine(tiny_config())
 
         class Stalling(RandomWorkload):
-            def transactions(self, tid):
-                for i, txn in enumerate(super().transactions(tid)):
+            def access_batches(self, tid):
+                for i, txn in enumerate(super().access_batches(tid)):
                     if tid == 0 and i == 5:
                         machine.stall_all_cores_until(10**7)
                     yield txn
@@ -74,7 +74,7 @@ class TestRunner:
         class Empty:
             num_threads = 2
 
-            def transactions(self, tid):
+            def access_batches(self, tid):
                 return iter(())
 
         result = machine.run(Empty())

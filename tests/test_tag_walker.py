@@ -37,8 +37,8 @@ class TestWalking:
         rec_seen = []
 
         class Probe(RandomWorkload):
-            def transactions(self, tid):
-                for txn in super().transactions(tid):
+            def access_batches(self, tid):
+                for txn in super().access_batches(tid):
                     rec_seen.append(scheme.cluster.rec_epoch)
                     yield txn
 
@@ -79,7 +79,7 @@ class TestMinVerReports:
         class W:
             num_threads = 1
 
-            def transactions(self, tid):
+            def access_batches(self, tid):
                 yield [store(0x4000)]
                 machine.hierarchy.advance_epoch(machine.hierarchy.vds[0], 5, 0)
                 scheme.walkers[0].force_pass(0)

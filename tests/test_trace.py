@@ -1,47 +1,14 @@
-"""Tests for memory-op records and trace capture."""
+"""Tests for memory-op records: ``load``/``store`` build (addr, size, is_store) tuples."""
 
-import pytest
-
-from repro.sim import LOAD, STORE, MemOp, TraceRecorder, load, store
+from repro.sim import load, store
 
 
 class TestMemOp:
     def test_constructors(self):
-        assert load(8).kind == LOAD
-        assert store(8).kind == STORE
-        assert store(8, 64).size == 64
+        assert load(8) == (8, 8, False)
+        assert store(8) == (8, 8, True)
+        assert store(8, 64) == (8, 64, True)
 
     def test_is_store(self):
-        assert store(0).is_store
-        assert not load(0).is_store
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            MemOp("mov", 0, 8)
-        with pytest.raises(ValueError):
-            MemOp(LOAD, -1, 8)
-        with pytest.raises(ValueError):
-            MemOp(LOAD, 0, 0)
-
-    def test_frozen(self):
-        op = load(8)
-        with pytest.raises(AttributeError):
-            op.addr = 9  # type: ignore[misc]
-
-
-class TestTraceRecorder:
-    def test_record_and_replay(self):
-        recorder = TraceRecorder()
-        recorder.record(0, [load(0), store(8)])
-        recorder.record(1, [load(64)])
-        replayed = list(recorder.replay())
-        assert replayed[0] == (0, [load(0), store(8)])
-        assert replayed[1] == (1, [load(64)])
-        assert len(recorder) == 2
-
-    def test_ops_for_thread(self):
-        recorder = TraceRecorder()
-        recorder.record(0, [load(0)])
-        recorder.record(1, [store(8)])
-        recorder.record(0, [store(16)])
-        assert recorder.ops_for_thread(0) == [load(0), store(16)]
+        assert store(0)[2] is True
+        assert load(0)[2] is False

@@ -47,7 +47,7 @@ class TestStoreEviction:
         class W:
             num_threads = 1
 
-            def transactions(self, tid):
+            def access_batches(self, tid):
                 yield [store(ADDR)]  # version @1 in L1
                 hierarchy.advance_epoch(hierarchy.vds[0], 5, 0)
                 yield [store(ADDR)]  # must store-evict version @1
@@ -69,7 +69,7 @@ class TestStoreEviction:
         class W:
             num_threads = 1
 
-            def transactions(self, tid):
+            def access_batches(self, tid):
                 yield [load(ADDR)]  # clean E copy @0
                 hierarchy.advance_epoch(hierarchy.vds[0], 5, 0)
                 yield [store(ADDR)]
@@ -86,7 +86,7 @@ class TestStoreEviction:
         class W:
             num_threads = 1
 
-            def transactions(self, tid):
+            def access_batches(self, tid):
                 yield [store(ADDR)]
                 hierarchy.advance_epoch(hierarchy.vds[0], 5, 0)
                 yield [store(ADDR)]
@@ -108,7 +108,7 @@ class TestEpochSynchronization:
         class W:
             num_threads = 3
 
-            def transactions(self, tid):
+            def access_batches(self, tid):
                 if tid == 0:  # VD0 writes at an advanced epoch
                     hierarchy.advance_epoch(hierarchy.vds[0], 9, 0)
                     yield [store(ADDR)]
@@ -135,7 +135,7 @@ class TestEpochSynchronization:
         class W:
             num_threads = 3
 
-            def transactions(self, tid):
+            def access_batches(self, tid):
                 if tid == 0:
                     yield [store(ADDR)]  # dirty version @1 in VD0
                 elif tid == 2:
@@ -160,7 +160,7 @@ class TestWalkerEntryPoints:
         class W:
             num_threads = 1
 
-            def transactions(self, tid):
+            def access_batches(self, tid):
                 yield [store(ADDR)]
                 hierarchy.advance_epoch(vd, 5, 0)
                 observed["persisted"] = hierarchy.walker_persist(vd, LINE, 0)
@@ -181,7 +181,7 @@ class TestWalkerEntryPoints:
         class W:
             num_threads = 1
 
-            def transactions(self, tid):
+            def access_batches(self, tid):
                 yield [store(ADDR)]
 
         machine.run(W())
@@ -197,7 +197,7 @@ class TestWalkerEntryPoints:
         class W:
             num_threads = 1
 
-            def transactions(self, tid):
+            def access_batches(self, tid):
                 yield [store(ADDR)]
                 hierarchy.advance_epoch(vd, 7, 0)
                 yield [store(ADDR)]  # store-evicts @1 into L2
@@ -219,7 +219,7 @@ class TestWalkerEntryPoints:
         class W:
             num_threads = 1
 
-            def transactions(self, tid):
+            def access_batches(self, tid):
                 yield [store(ADDR)]
                 hierarchy.advance_epoch(vd, 7, 0)
                 yield [store(ADDR)]
@@ -242,7 +242,7 @@ class TestVersionedMemoryTags:
         class W:
             num_threads = 1
 
-            def transactions(self, tid):
+            def access_batches(self, tid):
                 yield [store(ADDR)]
 
         machine.run(W())

@@ -2,23 +2,31 @@
 
 Covers the two index structures that only ever ran end-to-end (the
 adaptive radix tree and the red-black tree), fills the accounting gaps
-in the allocator and ``MemView`` recorder tests, and pins the
-workload-level contracts the harness and fuzzer rely on: determinism
-under a fixed seed, ``access_batches``/``transactions`` shape
-equivalence, and thread-count scaling of the stream.
+in the allocator and ``MemView`` recorder tests, and pins the stream
+contract of every registered workload: well-formed accesses,
+determinism under a fixed seed, thread-count scaling, and a recorded
+digest of each frozen stream.
 """
 
+import hashlib
+import json
 import random
+from pathlib import Path
 
 import pytest
 
-from repro.oracle.differential import freeze_workload
-from repro.sim.trace import STORE
-from repro.workloads import make_workload
+from repro.workloads import Workload, freeze_workload, make_workload, workload_names
 from repro.workloads.alloc import AddressSpace, Arena
 from repro.workloads.art import NODE_SPECS, AdaptiveRadixTree
 from repro.workloads.memview import MemView
 from repro.workloads.rbtree import RedBlackTree
+
+#: Per-workload digests of the frozen stream at a fixed size and seed.
+STREAM_DIGESTS = json.loads(
+    (Path(__file__).parent / "data" / "stream_digests.json").read_text()
+)
+#: Workloads whose stream is a fixed pattern the seed does not enter.
+SEED_FREE = {"kmeans", "stream"}
 
 
 def _fresh_arena() -> Arena:
@@ -166,15 +174,6 @@ class TestMemViewContract:
         assert len(view) == 0
         assert view.take_accesses() == []
 
-    def test_take_matches_take_accesses(self):
-        a, b = MemView(), MemView()
-        for view in (a, b):
-            view.read(0x40, 4)
-            view.write(0x80, 16)
-        ops = a.take()
-        tuples = b.take_accesses()
-        assert [(op.addr, op.size, op.kind == STORE) for op in ops] == tuples
-
     def test_range_chunk_never_exceeds_word(self):
         view = MemView()
         view.write_range(0x0, 16, stride=4)
@@ -183,34 +182,70 @@ class TestMemViewContract:
         assert all(size == 4 for _, size, _ in accesses)
 
 
-@pytest.mark.parametrize("name", ["art", "rbtree"])
+def _digest(frozen) -> dict:
+    """Access/batch counts and a sha256 over every thread's batches."""
+    digest = hashlib.sha256()
+    batches = accesses = 0
+    for tid in range(frozen.num_threads):
+        digest.update(f"thread {tid}\n".encode())
+        for batch in frozen.access_batches(tid):
+            batches += 1
+            accesses += len(batch)
+            digest.update(" ".join(
+                f"{addr:x}:{size}:{int(is_store)}"
+                for addr, size, is_store in batch
+            ).encode() + b"\n")
+    return {"accesses": accesses, "batches": batches,
+            "sha256": digest.hexdigest()}
+
+
+def test_access_batches_is_the_one_abstract_method():
+    class NoStream(Workload):
+        pass
+
+    with pytest.raises(TypeError, match="access_batches"):
+        NoStream(num_threads=1)
+
+
+def test_digests_cover_every_workload():
+    assert sorted(STREAM_DIGESTS["workloads"]) == workload_names()
+
+
+@pytest.mark.parametrize("name", workload_names())
 class TestWorkloadContracts:
+    def _frozen_at_digest_point(self, name):
+        return freeze_workload(make_workload(
+            name, num_threads=STREAM_DIGESTS["threads"],
+            scale=STREAM_DIGESTS["scale"], seed=STREAM_DIGESTS["seed"],
+        ))
+
+    def test_stream_matches_digest(self, name):
+        frozen = self._frozen_at_digest_point(name)
+        assert _digest(frozen) == STREAM_DIGESTS["workloads"][name]
+
+    def test_accesses_are_well_formed(self, name):
+        frozen = self._frozen_at_digest_point(name)
+        for batches in frozen.batches.values():
+            for batch in batches:
+                assert isinstance(batch, list)
+                for addr, size, is_store in batch:
+                    assert type(addr) is int and addr >= 0
+                    assert type(size) is int and size > 0
+                    assert type(is_store) is bool
+
     def test_fixed_seed_is_deterministic(self, name):
         one = freeze_workload(make_workload(name, num_threads=4, scale=0.05,
                                             seed=9))
         two = freeze_workload(make_workload(name, num_threads=4, scale=0.05,
                                             seed=9))
-        assert one._batches == two._batches
+        assert one.batches == two.batches
 
     def test_seed_changes_the_stream(self, name):
         one = freeze_workload(make_workload(name, num_threads=2, scale=0.05,
                                             seed=1))
         two = freeze_workload(make_workload(name, num_threads=2, scale=0.05,
                                             seed=2))
-        assert one._batches != two._batches
-
-    def test_stream_shapes_are_equivalent(self, name):
-        """transactions() (MemOp lists) and access_batches() (flat
-        tuples) describe the same trace.  Two same-seed instances are
-        compared — the index mutates as a stream is consumed, so one
-        instance cannot replay both shapes."""
-        by_ops = make_workload(name, num_threads=1, scale=0.05, seed=5)
-        by_tuples = make_workload(name, num_threads=1, scale=0.05, seed=5)
-        ops_view = [
-            [(op.addr, op.size, op.kind == STORE) for op in txn]
-            for txn in by_ops.transactions(0)
-        ]
-        assert ops_view == list(by_tuples.access_batches(0))
+        assert (one.batches != two.batches) == (name not in SEED_FREE)
 
     def test_thread_count_scales_stream(self, name):
         per_thread = None

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import LOAD, STORE
 from repro.workloads import (
     PAPER_WORKLOADS,
     AdaptiveRadixTree,
@@ -64,16 +63,16 @@ class TestMemView:
         view = MemView()
         view.read(0x100, 8)
         view.write(0x108, 8)
-        ops = view.take()
-        assert [op.kind for op in ops] == [LOAD, STORE]
-        assert view.take() == []
+        ops = view.take_accesses()
+        assert [is_store for _, _, is_store in ops] == [False, True]
+        assert view.take_accesses() == []
 
     def test_range_strides(self):
         view = MemView()
         view.read_range(0, 256)
-        assert len(view.take()) == 4
+        assert len(view.take_accesses()) == 4
         view.write_range(0, 100, stride=32)
-        assert len(view.take()) == 4
+        assert len(view.take_accesses()) == 4
 
 
 class TestHashTable:
@@ -108,9 +107,9 @@ class TestHashTable:
         table = self._table()
         view = MemView()
         table.insert(42, 1, view)
-        ops = view.take()
-        assert any(op.kind == STORE for op in ops)
-        assert any(op.kind == LOAD for op in ops)
+        ops = view.take_accesses()
+        assert any(is_store for _, _, is_store in ops)
+        assert any(not is_store for _, _, is_store in ops)
 
     @given(st.dictionaries(st.integers(0, 10**6), st.integers(), max_size=120))
     @settings(max_examples=40)
@@ -119,7 +118,7 @@ class TestHashTable:
         view = MemView()
         for key, value in mapping.items():
             table.insert(key, value, view)
-        view.take()
+        view.take_accesses()
         for key, value in mapping.items():
             assert table.lookup(key, view) == value
 
@@ -157,9 +156,9 @@ class TestBPlusTree:
         view = MemView()
         for key in (10, 20, 30, 40):
             tree.insert(key, key, view)
-        view.take()
+        view.take_accesses()
         tree.insert(5, 5, view)  # shifts 4 elements
-        stores = [op for op in view.take() if op.kind == STORE]
+        stores = [addr for addr, _, is_store in view.take_accesses() if is_store]
         assert len(stores) >= 8  # 4 shifted keys + 4 shifted values
 
     @given(st.lists(st.integers(0, 10**6), max_size=300))
@@ -171,7 +170,7 @@ class TestBPlusTree:
         for key in keys:
             tree.insert(key, key ^ 0xFF, view)
             reference[key] = key ^ 0xFF
-            view.take()
+            view.take_accesses()
         for key, value in reference.items():
             assert tree.lookup(key, view) == value
         assert tree.size == len(reference)
@@ -280,7 +279,7 @@ class TestART:
         for key in keys:
             tree.insert(key, key & 0xFFFF, view)
             reference[key] = key & 0xFFFF
-            view.take()
+            view.take_accesses()
         for key, value in reference.items():
             assert tree.lookup(key, view) == value
 
@@ -347,24 +346,20 @@ class TestRegistry:
         workload = make_workload(name, num_threads=4, scale=0.05, seed=2)
         total_ops = 0
         for tid in range(4):
-            for txn in workload.transactions(tid):
+            for txn in workload.access_batches(tid):
                 total_ops += len(txn)
         assert total_ops > 0
 
     @pytest.mark.parametrize("name", ["uniform", "zipf", "stream", "bursty"])
     def test_synthetic_workloads(self, name):
         workload = make_workload(name, num_threads=2, scale=0.05, seed=2)
-        txns = list(workload.transactions(0))
+        txns = list(workload.access_batches(0))
         assert txns and all(len(t) > 0 for t in txns)
 
     def test_workloads_are_deterministic_per_seed(self):
         def collect(seed):
             workload = make_workload("ssca2", num_threads=2, scale=0.05, seed=seed)
-            return [
-                (op.kind, op.addr)
-                for txn in workload.transactions(0)
-                for op in txn
-            ]
+            return [op for txn in workload.access_batches(0) for op in txn]
 
         assert collect(7) == collect(7)
         assert collect(7) != collect(8)
@@ -373,12 +368,12 @@ class TestRegistry:
         workload = make_workload("kmeans", num_threads=1, scale=0.2, seed=1)
         stores = set()
         repeated = 0
-        for txn in workload.transactions(0):
-            for op in txn:
-                if op.kind == STORE:
-                    if op.addr in stores:
+        for txn in workload.access_batches(0):
+            for addr, _, is_store in txn:
+                if is_store:
+                    if addr in stores:
                         repeated += 1
-                    stores.add(op.addr)
+                    stores.add(addr)
         assert repeated > 0  # passes re-dirty the same lines
 
     def test_yada_is_page_sparse(self):
@@ -387,63 +382,9 @@ class TestRegistry:
         workload = make_workload("yada", num_threads=2, scale=0.3, seed=1)
         pages = set()
         for tid in range(2):
-            for txn in workload.transactions(tid):
-                for op in txn:
-                    pages.add(page_of(op.addr))
+            for txn in workload.access_batches(tid):
+                for addr, _, _ in txn:
+                    pages.add(page_of(addr))
         spread = max(pages) - min(pages)
         assert spread > 10_000  # pages scattered over a large region
 
-
-class TestStreamShapes:
-    """The two stream APIs (transactions / access_batches) are twins."""
-
-    def _flat(self, txn):
-        return [(op.addr, op.size, op.kind == STORE) for op in txn]
-
-    @pytest.mark.parametrize("name", ["uniform", "btree", "ycsb_a"])
-    def test_batches_equal_transactions(self, name):
-        # Streams mutate shared state lazily, so build two instances.
-        via_txn = make_workload(name, num_threads=2, scale=0.1, seed=5)
-        via_batch = make_workload(name, num_threads=2, scale=0.1, seed=5)
-        for tid in range(2):
-            txns = [self._flat(t) for t in via_txn.transactions(tid)]
-            batches = list(via_batch.access_batches(tid))
-            assert batches == txns
-
-    def test_access_stream_prefers_native_batches(self):
-        from repro.sim.trace import access_stream
-        from repro.workloads.base import Workload
-
-        class BatchOnly(Workload):
-            def access_batches(self, thread_id):
-                yield [(64, 8, True), (128, 8, False)]
-
-        stream = list(access_stream(BatchOnly(num_threads=1), 0))
-        assert stream == [[(64, 8, True), (128, 8, False)]]
-        # And the derived transactions() direction still materializes.
-        txns = list(BatchOnly(num_threads=1).transactions(0))
-        assert [(op.addr, op.size, op.is_store) for op in txns[0]] == [
-            (64, 8, True), (128, 8, False),
-        ]
-
-    def test_access_stream_converts_legacy_transactions(self):
-        from repro.sim.trace import MemOp, access_stream
-        from repro.workloads.base import Workload
-
-        class TxnOnly(Workload):
-            def transactions(self, thread_id):
-                yield [MemOp(STORE, 256), MemOp(LOAD, 512, 16)]
-
-        stream = list(access_stream(TxnOnly(num_threads=1), 0))
-        assert stream == [[(256, 8, True), (512, 16, False)]]
-
-    def test_neither_shape_raises(self):
-        from repro.workloads.base import Workload
-
-        class Empty(Workload):
-            pass
-
-        with pytest.raises(TypeError, match="must implement"):
-            list(Empty(num_threads=1).transactions(0))
-        with pytest.raises(TypeError, match="must implement"):
-            list(Empty(num_threads=1).access_batches(0))

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import LOAD, STORE, Machine
+from repro.sim import Machine
 from repro.workloads import (
     AddressSpace,
     BPlusTree,
@@ -31,19 +31,20 @@ class TestMixes:
     @pytest.mark.parametrize("mix", sorted(YCSB_MIXES))
     def test_mix_produces_ops(self, mix):
         workload = make_ycsb(mix)
-        ops = [op for txn in workload.transactions(0) for op in txn]
+        ops = [op for txn in workload.access_batches(0) for op in txn]
         assert ops
 
     def test_mix_c_is_read_only(self):
         workload = make_ycsb("c")
-        kinds = {op.kind for txn in workload.transactions(0) for op in txn}
-        assert kinds == {LOAD}
+        kinds = {is_store for txn in workload.access_batches(0)
+                 for _, _, is_store in txn}
+        assert kinds == {False}
 
     def test_mix_a_writes_more_than_mix_b(self):
         def store_fraction(mix):
             workload = make_ycsb(mix, ops_per_thread=200)
-            ops = [op for txn in workload.transactions(0) for op in txn]
-            return sum(1 for op in ops if op.kind == STORE) / len(ops)
+            ops = [op for txn in workload.access_batches(0) for op in txn]
+            return sum(1 for _, _, is_store in ops if is_store) / len(ops)
 
         a, b = store_fraction("a"), store_fraction("b")
         assert a > 2 * b > 0  # 50% updates vs 5% updates
@@ -51,12 +52,12 @@ class TestMixes:
     def test_mix_d_grows_key_population(self):
         workload = make_ycsb("d", ops_per_thread=300)
         before = len(workload.keys)
-        list(workload.transactions(0))
+        list(workload.access_batches(0))
         assert len(workload.keys) > before
 
     def test_mix_e_scans(self):
         workload = make_ycsb("e", ops_per_thread=100)
-        ops = [op for txn in workload.transactions(0) for op in txn]
+        ops = [op for txn in workload.access_batches(0) for op in txn]
         # Scans touch leaf runs: far more loads per txn than point reads.
         assert len(ops) / 100 > 15
 

@@ -5,8 +5,9 @@ from __future__ import annotations
 import random
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.sim import MESI, Machine, MemOp, SystemConfig, load, store
+from repro.sim import MESI, Machine, SystemConfig, load, store
 from repro.sim.hierarchy import Hierarchy
+from repro.sim.trace import Access
 from repro.workloads import Workload
 
 
@@ -21,11 +22,11 @@ def tiny_config(**overrides) -> SystemConfig:
 class ScriptedWorkload(Workload):
     """A workload driven by explicit per-thread transaction lists."""
 
-    def __init__(self, scripts: Sequence[Sequence[Sequence[MemOp]]]) -> None:
+    def __init__(self, scripts: Sequence[Sequence[Sequence[Access]]]) -> None:
         super().__init__(len(scripts))
         self.scripts = [list(txns) for txns in scripts]
 
-    def transactions(self, thread_id: int):
+    def access_batches(self, thread_id: int):
         yield from self.scripts[thread_id]
 
 
@@ -46,12 +47,12 @@ class RandomWorkload(Workload):
         self.shared_fraction = shared_fraction
         self.seed = seed
 
-    def transactions(self, thread_id: int):
+    def access_batches(self, thread_id: int):
         rng = random.Random((self.seed << 8) ^ thread_id)
         private = 0x1000_0000 * (thread_id + 1)
         shared = 0x9000_0000
         for _ in range(self.txns_per_thread):
-            ops: List[MemOp] = []
+            ops: List[Access] = []
             for _ in range(4):
                 base = shared if rng.random() < self.shared_fraction else private
                 addr = base + rng.randrange(0, self.footprint, 8)
