@@ -8,10 +8,21 @@ write-backs to the OMC, epoch sync, the per-VD tag walkers) is gated on
 one closure constant, and the baselines' store and dirty-eviction hooks
 ride along as ``None``-checked locals, exactly where ``Hierarchy`` calls
 them.  Each closure replays the ``Hierarchy`` transition it replaces
-step for step, so a run is bit-identical to the reference path; cold
-protocol corners (remote-owner transfers, sharer invalidations, epoch
-advances, multi-epoch walker scans) call the ``Hierarchy`` methods
-themselves.
+step for step, so a run is bit-identical to the reference path.  The
+inter-VD coherence corners have closures too: store upgrades, owner
+downgrades (Fig. 5) and sharer invalidations.  A few steps still call
+the ``Hierarchy`` methods:
+
+* ``_getx_from_remote_owner``: only MOESI dirty sharing reaches it,
+  and MOESI is outside the envelope;
+* ``_invalidate_owner_for_getx`` (Fig. 6's hand-over),
+  ``_recall_l1_copy`` (a peer L1's dirty copy on an L2 hit) and
+  ``_version_writeback`` (NVOverlay's dirty owner downgrade): on the
+  Fig-11 grid each runs under a quarter as often as the upgrades or
+  the downgrades, and a twin of the hand-over measured no gain;
+* ``_epoch_sync`` / ``advance_epoch``, ``walker_scan_set`` for a VD
+  past epoch 1, and ``min_dirty_oid``: once per epoch advance, set
+  scan or walker pass.
 
 ``Machine.run`` asks for the fast path at the start of every run.
 Outside the envelope of :func:`in_envelope`, or with a protocol oracle
@@ -27,7 +38,12 @@ from typing import Callable, Dict, NamedTuple, Optional
 from .cache import MESI, CacheLine
 from .config import CACHE_LINE_SHIFT, CACHE_LINE_SIZE
 from .hierarchy import DirEntry
-from .scheme import REASON_CAPACITY, REASON_STORE_EVICT, SnapshotScheme
+from .scheme import (
+    REASON_CAPACITY,
+    REASON_COHERENCE,
+    REASON_STORE_EVICT,
+    SnapshotScheme,
+)
 
 __all__ = ["FastPath", "build", "in_envelope"]
 
@@ -146,6 +162,7 @@ def build(machine) -> Optional[FastPath]:
     on_llc_dirty_eviction = h._scheme_on_llc_dirty_eviction
     on_version_writeback = scheme.on_version_writeback
     on_version_migrate = scheme.on_version_migrate
+    version_writeback = h._version_writeback
     token = h._token
     store_log = h.store_log
     M, E, S, I_STATE, O = MESI.M, MESI.E, MESI.S, MESI.I, MESI.O
@@ -167,8 +184,9 @@ def build(machine) -> Optional[FastPath]:
             "l2.dirty_evictions", "l2.evictions",
             "llc.dirty_evictions", "llc.evictions",
             "stores", "cst.store_evictions", "cst.version_writebacks",
-            "net.omc_msgs", "net.vd_llc_msgs", "net.forwarded_msgs",
-            "net.c2c_msgs",
+            "net.omc_msgs", "net.vd_llc_msgs", "net.llc_vd_msgs",
+            "net.forwarded_msgs", "net.c2c_msgs",
+            "l2.downgrades", "cst.load_downgrades",
             "dram.reads", "dram.read_bytes",
             "dram.writes", "dram.write_bytes",
             "walker.sets_scanned", "walker.tags_scanned",
@@ -182,12 +200,61 @@ def build(machine) -> Optional[FastPath]:
             c[key] = 0
 
     # -- fused protocol transitions (mirror hierarchy.py exactly) ------
-    # Hierarchy._llc_insert / _install_l2 / _inter_gets / _inter_getx
-    # are hand-inlined into evict_l2_entry and vd_fill below:
-    # on the dominant miss chain every call frame showed up in the
-    # profile, and inlining also lets the chain reuse the directory
-    # entry and L2 set it already fetched (the hierarchy methods hold
-    # the same references across these steps, so reuse is bit-identical).
+    # Hierarchy._install_l2 / _inter_gets / _inter_getx are hand-inlined
+    # into vd_fill below: on the dominant miss chain every call frame
+    # showed up in the profile, and inlining also lets the chain reuse
+    # the directory entry and L2 set it already fetched (the hierarchy
+    # methods hold the same references across these steps, so reuse is
+    # bit-identical).  The inter-VD coherence corners (upgrades, owner
+    # downgrades, sharer invalidations) and the LLC insert are closures
+    # of their own, each the twin of one Hierarchy method.
+    def dram_writeback(line, data, oid, t):
+        # Posted write-back to working memory (_working_writeback +
+        # _memory_update): queued at ``t``, latency discarded.
+        ctrl = (line ^ (line >> 4) ^ (line >> 9)) % dram_nctrl
+        last = dram_last[ctrl]
+        if t > last:
+            drained = dram_backlog[ctrl] - (t - last)
+            dram_backlog[ctrl] = drained if drained > 0 else 0
+            dram_last[ctrl] = t
+        dram_backlog[ctrl] += dram_occ
+        c["dram.writes"] += 1
+        c["dram.write_bytes"] += line_bytes
+        current = mem_lines.get(line)
+        if current is None or oid >= current[1]:
+            mem_lines[line] = (data, oid)
+
+    def llc_insert(line, data, oid, dirty, now):
+        # Hierarchy._llc_insert, with _evict_llc_victim.
+        slice_id = line % num_slices
+        latency = llc_latency
+        c[fill_key[slice_id]] += 1
+        llc_set = llc_sets[slice_id][line % llc_num_sets]
+        existing = llc_set.get(line)
+        if existing is not None:
+            dirty = dirty or existing.state >= M
+        elif len(llc_set) >= llc_ways:
+            # A dirty victim settles into working memory and leaves the
+            # scheme's LLC domain (its stall joins the fill latency).
+            victim = llc_set[next(iter(llc_set))]
+            vline = victim.line
+            if victim.state >= M:
+                c["llc.dirty_evictions"] += 1
+                dram_writeback(vline, victim.data, victim.oid, now)
+                if on_llc_dirty_eviction is not None:
+                    latency += on_llc_dirty_eviction(
+                        vline, victim.oid, victim.data, now
+                    )
+            del llc_set[vline]
+            c["llc.evictions"] += 1
+            vshard = dir_shards[slice_id]
+            ventry = vshard.get(vline)
+            if ventry is not None and ventry.owner is None and not ventry.sharers:
+                del vshard[vline]
+        llc_set.pop(line, None)
+        llc_set[line] = CacheLine(line, M if dirty else S, oid, data)
+        return latency
+
     def l2_putx(vd, line, data, oid, now):
         cache_set = vd_l2_sets[vd.id][line % l2_num_sets]
         entry = cache_set.get(line)
@@ -210,26 +277,123 @@ def build(machine) -> Optional[FastPath]:
         entry.oid = oid
         entry.state = M
 
-    def evict_l2_entry(vd, entry, now):
-        # REASON_CAPACITY only; other reasons stay on the cold paths.
-        line = entry.line
-        latency = 0
+    def invalidate_l1s(vd, line, exclude_core, now):
+        # Hierarchy._invalidate_vd_l1s: every member L1 copy but
+        # ``exclude_core``'s goes, a dirty one merging into the L2 first
+        # (the PUTX rule).
         l1_index = line % l1_num_sets
-        for sets in vd_l1_sets[vd.id]:
-            peer_set = sets[l1_index]
+        for core in vd.core_ids:
+            if core == exclude_core:
+                continue
+            peer_set = l1_sets[core][l1_index]
             peer = peer_set.get(line)
             if peer is None:
                 continue
             if peer.state >= M:
                 l2_putx(vd, line, peer.data, peer.oid, now)
             del peer_set[line]
+
+    def invalidate_vd(vd_id, line, now):
+        # Hierarchy._invalidate_vd: a clean sharer VD gives the line up.
+        vd = vds[vd_id]
+        l2_set = vd_l2_sets[vd_id][line % l2_num_sets]
+        entry = l2_set.get(line)
+        invalidate_l1s(vd, line, None, now)
+        if entry is not None:
+            assert not entry.state >= M, "sharer VD holds dirty data"
+            del l2_set[line]
+        c["net.llc_vd_msgs"] += 1
+        return hop
+
+    def upgrade(vd, core_id, line, now):
+        # Hierarchy._upgrade_for_store, with _inter_getx_permission_only
+        # and _request_latency inlined: S -> exclusive.
+        latency = 0
+        vd_id = vd.id
+        slice_id = line % num_slices
+        shard = dir_shards[slice_id]
+        dentry = shard.get(line)
+        owner = dentry.owner if dentry is not None else None
+        if owner is not None and owner != vd_id:
+            # Only MOESI dirty sharing reaches this (outside the envelope).
+            latency += h._getx_from_remote_owner(vd, core_id, line, now)
+        elif owner != vd_id or (
+            dentry is not None and dentry.sharers - {vd_id}
+        ):
+            # Claim ownership; the data is already present locally.
+            c["net.vd_llc_msgs"] += 1
+            latency = hop + llc_latency
+            c[dir_key[slice_id]] += 1
+            if dentry is None:
+                dentry = DirEntry()
+                shard[line] = dentry
+            for other_id in sorted(dentry.holders() - {vd_id}):
+                latency += invalidate_vd(other_id, line, now + latency)
+            # The LLC copy goes stale: a dirty one settles into working
+            # memory (CST) or hands its obligation to this VD's L2.
+            llc_set = llc_sets[slice_id][line % llc_num_sets]
+            llc_entry = llc_set.get(line)
+            if llc_entry is not None:
+                if llc_entry.state >= M:
+                    l2_entry = vd_l2_sets[vd_id][line % l2_num_sets].get(line)
+                    if not versioned and l2_entry is not None:
+                        l2_entry.state = M
+                    else:
+                        dram_writeback(
+                            line, llc_entry.data, llc_entry.oid, now + latency
+                        )
+                del llc_set[line]
+            dentry.owner = vd_id
+            dentry.sharers.clear()
+        invalidate_l1s(vd, line, core_id, now + latency)
+        return latency
+
+    def downgrade_owner(owner, line, now):
+        # Hierarchy._downgrade_owner under MESI (Fig. 5): the owner's
+        # newest version is written back and the owner drops to S.
+        owner_id = owner.id
+        l1_index = line % l1_num_sets
+        owner_l1_sets = vd_l1_sets[owner_id]
+        for sets in owner_l1_sets:
+            # _find_l1_dirty_peer + _recall_l1_copy(invalidate=False);
+            # the recalled copy drops to S with the others below.
+            peer = sets[l1_index].get(line)
+            if peer is not None and peer.state >= M:
+                l2_putx(owner, line, peer.data, peer.oid, now)
+                break
+        entry = vd_l2_sets[owner_id][line % l2_num_sets].get(line)
+        assert entry is not None, "directory says owner but L2 has no copy"
+        for sets in owner_l1_sets:
+            peer = sets[l1_index].get(line)
+            if peer is not None and peer.state:
+                peer.state = S
+        if entry.state >= M:
+            if versioned:
+                c["cst.load_downgrades"] += 1
+                version_writeback(
+                    owner, line, entry.data, entry.oid, REASON_COHERENCE,
+                    to_llc=True, now=now,
+                )
+            else:
+                c["l2.downgrades"] += 1
+                llc_insert(line, entry.data, entry.oid, True, now)
+                scheme.on_l2_dirty_eviction(
+                    owner_id, line, entry.oid, entry.data, REASON_COHERENCE, now
+                )
+        else:
+            llc_insert(line, entry.data, entry.oid, False, now)
+        entry.state = S
+        return entry.data, entry.oid
+
+    def evict_l2_entry(vd, entry, now):
+        # REASON_CAPACITY only; other reasons stay on the cold paths.
+        line = entry.line
+        latency = 0
+        invalidate_l1s(vd, line, None, now)
         l2_set = vd_l2_sets[vd.id][line % l2_num_sets]
         entry = l2_set.get(line)
         assert entry is not None
         dirty = entry.state >= M
-        # An unversioned dirty line leaves the scheme's L2 domain after
-        # its LLC insert, which folds the LLC copy's state into ``dirty``.
-        l2_hook = on_l2_dirty_eviction if dirty else None
         if dirty:
             c["l2.dirty_evictions"] += 1
         if dirty and versioned:
@@ -245,63 +409,18 @@ def build(machine) -> Optional[FastPath]:
             current = mem_lines.get(line)
             if current is None or entry.oid >= current[1]:
                 mem_lines[line] = (entry.data, entry.oid)
-        # LLC insert (Hierarchy._llc_insert), at ``now``.
-        slice_id = line % num_slices
-        latency += llc_latency
-        c[fill_key[slice_id]] += 1
-        llc_set = llc_sets[slice_id][line % llc_num_sets]
-        existing = llc_set.get(line)
-        if existing is not None:
-            dirty = dirty or existing.state >= M
-        elif len(llc_set) >= llc_ways:
-            # Victim eviction (_evict_llc_victim): a dirty victim
-            # posts a DRAM write-back — queued, latency discarded —
-            # settles into working memory and leaves the scheme's LLC
-            # domain (its stall joins the fill latency).
-            victim = llc_set[next(iter(llc_set))]
-            vline = victim.line
-            if victim.state >= M:
-                c["llc.dirty_evictions"] += 1
-                ctrl = (vline ^ (vline >> 4) ^ (vline >> 9)) % dram_nctrl
-                last = dram_last[ctrl]
-                if now > last:
-                    drained = dram_backlog[ctrl] - (now - last)
-                    dram_backlog[ctrl] = drained if drained > 0 else 0
-                    dram_last[ctrl] = now
-                dram_backlog[ctrl] += dram_occ
-                c["dram.writes"] += 1
-                c["dram.write_bytes"] += line_bytes
-                current = mem_lines.get(vline)
-                if current is None or victim.oid >= current[1]:
-                    mem_lines[vline] = (victim.data, victim.oid)
-                if on_llc_dirty_eviction is not None:
-                    latency += on_llc_dirty_eviction(
-                        vline, victim.oid, victim.data, now
-                    )
-            del llc_set[vline]
-            c["llc.evictions"] += 1
-            vshard = dir_shards[slice_id]
-            ventry = vshard.get(vline)
-            if ventry is not None and ventry.owner is None and not ventry.sharers:
-                del vshard[vline]
-        llc_set.pop(line, None)
-        llc_set[line] = CacheLine(line, M if dirty else S, entry.oid, entry.data)
-        if l2_hook is not None:
-            latency += l2_hook(vd.id, line, entry.oid, entry.data, REASON_CAPACITY, now)
+        latency += llc_insert(line, entry.data, entry.oid, dirty, now)
+        if dirty and on_l2_dirty_eviction is not None:
+            latency += on_l2_dirty_eviction(
+                vd.id, line, entry.oid, entry.data, REASON_CAPACITY, now
+            )
         del l2_set[line]
         c["l2.evictions"] += 1
-        shard = dir_shards[slice_id]
-        dentry = shard.get(line)
+        dentry = dir_shards[line % num_slices].get(line)
         if dentry is not None:
             dentry.sharers.discard(vd.id)
             if dentry.owner == vd.id:
                 dentry.owner = None
-            if (
-                dentry.owner is None
-                and not dentry.sharers
-                and line not in llc_set
-            ):
-                del shard[line]
         return latency
 
     def vd_fill(vd, core_id, line, for_store, now):
@@ -339,31 +458,9 @@ def build(machine) -> Optional[FastPath]:
                 del l2_cache_set[line]  # lookup(touch=True)
                 l2_cache_set[line] = l2_entry
             if for_store:
-                other_sharers = (
-                    bool(dentry.sharers - {vd_id}) if dentry is not None else False
-                )
-                if not vd_owns or other_sharers:
-                    owner = dentry.owner if dentry is not None else None
-                    if owner is not None and owner != vd_id:
-                        latency += h._getx_from_remote_owner(
-                            vd, core_id, line, now + latency
-                        )
-                        l2_entry = l2_cache_set.get(line)
-                        assert l2_entry is not None
-                    else:
-                        latency += h._inter_getx_permission_only(
-                            vd, line, now + latency
-                        )
-                for core in vd.core_ids:
-                    if core == core_id:
-                        continue
-                    peer_set = l1_sets[core][l1_index]
-                    entry = peer_set.get(line)
-                    if entry is None:
-                        continue
-                    if entry.state >= M:
-                        l2_putx(vd, line, entry.data, entry.oid, now + latency)
-                    del peer_set[line]
+                # The L2 entry survives the upgrade: a remote owner's
+                # transfer (MOESI only) rewrites it in place.
+                latency += upgrade(vd, core_id, line, now + latency)
                 state = E
             else:
                 exclusive = vd_owns and l2_entry.state != O
@@ -412,7 +509,7 @@ def build(machine) -> Optional[FastPath]:
                     llc_sets[slice_id][line % llc_num_sets].pop(line, None)
             if dentry.sharers:
                 for sharer_id in sorted(dentry.sharers - {vd_id}):
-                    nl += h._invalidate_vd(vds[sharer_id], line, rnow + nl)
+                    nl += invalidate_vd(sharer_id, line, rnow + nl)
             if data is None:
                 llc_set = llc_sets[slice_id][line % llc_num_sets]
                 llc_entry = llc_set.get(line)
@@ -425,21 +522,7 @@ def build(machine) -> Optional[FastPath]:
                         # The dirty obligation travels up: install in M.
                         dirty = True
                     elif llc_entry.state >= M:
-                        # Posted DRAM write-back: queued, latency
-                        # discarded.
-                        t = rnow + nl
-                        ctrl = (line ^ (line >> 4) ^ (line >> 9)) % dram_nctrl
-                        last = dram_last[ctrl]
-                        if t > last:
-                            drained = dram_backlog[ctrl] - (t - last)
-                            dram_backlog[ctrl] = drained if drained > 0 else 0
-                            dram_last[ctrl] = t
-                        dram_backlog[ctrl] += dram_occ
-                        c["dram.writes"] += 1
-                        c["dram.write_bytes"] += line_bytes
-                        current = mem_lines.get(line)
-                        if current is None or llc_entry.oid >= current[1]:
-                            mem_lines[line] = (llc_entry.data, llc_entry.oid)
+                        dram_writeback(line, llc_entry.data, llc_entry.oid, rnow + nl)
                     del llc_set[line]
                     mem_data, mem_oid = mem_lines.get(line, (0, 0))
                     if versioned and mem_oid > oid:
@@ -469,7 +552,7 @@ def build(machine) -> Optional[FastPath]:
                 owner = vds[owner_id]
                 c["net.forwarded_msgs"] += 1
                 nl += 2 * hop
-                data, oid = h._downgrade_owner(owner, line, rnow + nl)
+                data, oid = downgrade_owner(owner, line, rnow + nl)
                 # MESI only: the owner always drops to the sharer set.
                 dentry.sharers.add(owner_id)
                 dentry.owner = None
@@ -592,7 +675,7 @@ def build(machine) -> Optional[FastPath]:
                 del cache_set[line]
                 cache_set[line] = entry
                 c["l1.store_upgrades"] += 1
-                latency += h._upgrade_for_store(vd, core_id, line, now + latency)
+                latency += upgrade(vd, core_id, line, now + latency)
                 entry = cache_set.get(line)
                 assert entry is not None
                 del cache_set[line]  # lookup(touch=True)

@@ -874,14 +874,13 @@ class Hierarchy:
             self._counters["l2.evictions"] += 1
         except KeyError:
             self._inc("l2.evictions")
-        shard = self._dir_shards[line % self._num_slices]
-        dentry = shard.get(line)
+        # The entry stays: the line now sits in the LLC, and the LLC
+        # victim path drops entries nobody holds.
+        dentry = self._dir_shards[line % self._num_slices].get(line)
         if dentry is not None:
             dentry.sharers.discard(vd.id)
             if dentry.owner == vd.id:
                 dentry.owner = None
-            if dentry.is_empty() and not self._llc_has(line):
-                del shard[line]
         return latency
 
     def _version_writeback(
@@ -923,9 +922,6 @@ class Hierarchy:
         if to_llc:
             latency += self._llc_insert(line, data, oid, dirty=True, now=now)
         return latency
-
-    def _llc_has(self, line: int) -> bool:
-        return self.llc[self.slice_of(line)].contains(line)
 
     def _llc_insert(self, line: int, data: int, oid: int, dirty: bool, now: int) -> int:
         slice_id = line % self._num_slices

@@ -7,10 +7,11 @@ here compares an unarmed run against an armed run of the same workload.
 These tests pin which runs take which path (every scheme on the
 single-socket MESI directory machine) and cover what the fast path
 carries along: the baselines' store, eviction and ``poll`` hooks,
-``max_transactions``, lazily generated workloads, latency histograms,
-snapshot serving and resumed machines.  The heavyweight sweeps are the
-golden-parity legs (``test_golden_parity.py``) and the fuzzer's
-fast-vs-reference leg over every scheme (``test_fuzz_protocol.py``).
+the inter-VD coherence corners, ``max_transactions``, lazily generated
+workloads, latency histograms, snapshot serving and resumed machines.
+The heavyweight sweeps are the golden-parity legs
+(``test_golden_parity.py``) and the fuzzer's fast-vs-reference leg
+over every scheme (``test_fuzz_protocol.py``).
 """
 
 import json
@@ -27,6 +28,7 @@ from repro.oracle.invariants import ProtocolOracle
 from repro.serve import ServePolicy
 from repro.sim import Machine, SystemConfig, machine_for
 from repro.sim.config import CacheGeometry
+from repro.sim.hierarchy import Hierarchy
 from repro.workloads import make_workload
 
 SCALE = 0.05
@@ -210,6 +212,58 @@ def test_parity_of_a_baseline(scheme, exercised):
         assert fast._global_stall_until > 0
     else:
         assert fast.stats.get("nvm.backpressure_cycles") > 0
+
+
+#: The ``Hierarchy`` coherence corners the fast path replays with
+#: closures of its own.  ``_llc_insert`` and ``_invalidate_vd_l1s`` are
+#: not among them: the fast path still calls ``_version_writeback`` and
+#: ``_invalidate_owner_for_getx``, which call them.
+INLINED_CORNERS = (
+    "_upgrade_for_store", "_inter_getx_permission_only", "_request_latency",
+    "_downgrade_owner", "_downgrade_vd_l1s", "_invalidate_vd",
+)
+
+
+def _assert_corners_exercised(machine, workload):
+    counter = machine.stats.get
+    assert counter("l1.store_upgrades") > 0
+    assert counter("l2.downgrades") + counter("cst.load_downgrades") > 0
+    assert counter("net.llc_vd_msgs") > 0
+    if workload != "kmeans":  # kmeans makes no dirty owner hand-over
+        assert counter("coh.c2c_transfers") > 0
+
+
+@pytest.mark.parametrize("scheme", ["ideal", "picl_l2", "nvoverlay"])
+@pytest.mark.parametrize("workload", ["kmeans", "intruder", "btree"])
+def test_coherence_corners_stay_on_the_fast_path(monkeypatch, workload, scheme):
+    """Store upgrades, owner downgrades and sharer invalidations run the
+    fast path's own closures, so a run on the fast path never calls the
+    ``Hierarchy`` methods they replay."""
+    def reference_corner(*args, **kwargs):
+        raise AssertionError("the fast path called a Hierarchy corner")
+
+    for name in INLINED_CORNERS:
+        monkeypatch.setattr(Hierarchy, name, reference_corner)
+    machine = Machine(SystemConfig(), scheme=make_scheme(scheme))
+    machine.run(_workload(workload))
+    assert machine.fast_path
+    _assert_corners_exercised(machine, workload)
+
+
+@pytest.mark.parametrize("workload,scheme", [
+    ("intruder", "ideal"),
+    ("intruder", "picl_l2"),
+    ("intruder", "nvoverlay"),
+    ("kmeans", "picl_l2"),
+])
+def test_parity_of_the_coherence_corners(workload, scheme):
+    """The coherence mixes golden parity lacks: it has no intruder cell
+    and runs picl_l2 on btree only."""
+    fast, _ = _run_both(workload=workload, scheme=scheme)
+    _assert_corners_exercised(fast, workload)
+    if scheme == "picl_l2":
+        # Its on_l2_dirty_eviction hook sees every dirty downgrade.
+        assert fast.stats.get("evict_reason.coherence") > 0
 
 
 def test_parity_with_max_transactions():
