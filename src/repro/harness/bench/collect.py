@@ -170,8 +170,9 @@ def run_scenario(
     prints the top hot frames to stderr (never timed).  ``oracle=True``
     arms the invariant oracle inside the timed region — that measures
     the checking overhead, so armed numbers must never be committed to
-    the trajectory as if they were plain throughput.  (An armed oracle
-    also takes every cell off the fast path.)
+    the trajectory as if they were plain throughput.  (Armed and
+    unarmed cells take the same path, so the difference is the
+    checking alone.)
     """
     spec = scenario.spec(quick).with_changes(oracle=oracle)
     seconds: List[float] = []

@@ -5,16 +5,16 @@ one run into closures over flat local state: the cache-set LRU dicts, a
 local counter dict and, under NVOverlay, the walker scan budgets.  Every
 scheme runs them.  The version protocol (store-eviction, version
 write-backs to the OMC, epoch sync, the per-VD tag walkers) is gated on
-one closure constant, and the baselines' store and dirty-eviction hooks
-ride along as ``None``-checked locals, exactly where ``Hierarchy`` calls
-them.  Each closure replays the ``Hierarchy`` transition it replaces
-step for step, so a run is bit-identical to the reference path.  The
-inter-VD coherence corners have closures too: store upgrades, owner
-downgrades (Fig. 5) and sharer invalidations.  A few steps still call
-the ``Hierarchy`` methods:
+one closure constant.  The baselines' store and dirty-eviction hooks,
+the protocol oracle's per-event hooks and the crash-point injector ride
+along as ``None``-checked locals, called exactly where ``Hierarchy``
+calls them, so checked and unchecked runs take the same code.  Each
+closure replays the ``Hierarchy`` transition it replaces step for step,
+so a run is bit-identical to the reference path.  The inter-VD
+coherence corners have closures too: store upgrades, owner downgrades
+(Fig. 5) and sharer invalidations.  A few steps still call the
+``Hierarchy`` methods:
 
-* ``_getx_from_remote_owner``: only MOESI dirty sharing reaches it,
-  and MOESI is outside the envelope;
 * ``_invalidate_owner_for_getx`` (Fig. 6's hand-over),
   ``_recall_l1_copy`` (a peer L1's dirty copy on an L2 hit) and
   ``_version_writeback`` (NVOverlay's dirty owner downgrade): on the
@@ -25,10 +25,10 @@ the ``Hierarchy`` methods:
   scan or walker pass.
 
 ``Machine.run`` asks for the fast path at the start of every run.
-Outside the envelope of :func:`in_envelope`, or with a protocol oracle
-or fault injector attached, :func:`build` returns ``None`` and the run
-takes the ``Hierarchy`` methods, which stay the single reference
-definition of every transition.
+Outside the envelope of :func:`in_envelope`, :func:`build` returns
+``None`` and the run takes the ``Hierarchy`` methods, which stay the
+single reference definition of every transition.  Only the machine's
+configuration and scheme decide the path, never an attached checker.
 """
 
 from __future__ import annotations
@@ -67,16 +67,14 @@ def in_envelope(machine) -> bool:
 
     They inline the single-socket MESI/directory protocol with DRAM
     working memory, for any scheme.  MOESI, snoop transport,
-    multi-socket hops, finite directories, NVM working memory and an
-    attached oracle or fault injector leave the envelope.  The version
-    protocol additionally needs stock NVOverlay with plain tag walkers
-    and an unpatched ``poll`` / ``on_transaction_boundary``.  Hooks are
-    compared against the class attributes as they are at call time, the
-    way ``Machine.run`` resolves them, so class-level wrappers keep a
-    machine inside and instance patches take it out.
+    multi-socket hops, finite directories and NVM working memory leave
+    the envelope; an attached oracle or fault injector does not.  The
+    version protocol additionally needs stock NVOverlay with plain tag
+    walkers and an unpatched ``poll`` / ``on_transaction_boundary``.
+    Hooks are compared against the class attributes as they are at call
+    time, the way ``Machine.run`` resolves them, so class-level wrappers
+    keep a machine inside and instance patches take it out.
     """
-    if machine.oracle is not None or machine.fault_injector is not None:
-        return False
     config = machine.config
     h = machine.hierarchy
     if h.moesi or h.snoop or h.working_nvm:
@@ -113,7 +111,7 @@ def build(machine) -> Optional[FastPath]:
     Every counter bumped inline lands in a local dict that ``flush``
     adds into ``Stats`` once at the end — legal because fingerprints
     hash the *final* counter values, never intermediate ones, and no
-    scheme hook reads a counter mid-run.  Cold corners and scheme hooks
+    scheme or oracle hook reads a counter mid-run.  Cold corners and scheme hooks
     keep using ``Stats`` directly; both accounting paths only ever add,
     so the totals agree with the reference path exactly.
     """
@@ -163,6 +161,15 @@ def build(machine) -> Optional[FastPath]:
     on_version_writeback = scheme.on_version_writeback
     on_version_migrate = scheme.on_version_migrate
     version_writeback = h._version_writeback
+    # The checkers' hooks, bound the same way: None on an unarmed run.
+    oracle_on_store = h._oracle_on_store
+    oracle_on_writeback = h._oracle_on_writeback
+    oracle_on_eviction = h._oracle_on_eviction
+    oracle_on_coherence = h._oracle_on_coherence
+    oracle_on_walker_pass = (
+        h.oracle.on_walker_pass if h.oracle is not None else None
+    )
+    fault_on_event = h._fault_on_event
     token = h._token
     store_log = h.store_log
     M, E, S, I_STATE, O = MESI.M, MESI.E, MESI.S, MESI.I, MESI.O
@@ -171,8 +178,7 @@ def build(machine) -> Optional[FastPath]:
     fill_key = h._llc_fill_key
     hit_key = h._llc_hit_key
     miss_key = h._llc_miss_key
-    k_capacity = h._evict_reason_key[REASON_CAPACITY]
-    k_store_evict = h._evict_reason_key[REASON_STORE_EVICT]
+    reason_key = h._evict_reason_key
 
     # -- flat local counter accumulation -------------------------------
     c: Dict[str, int] = dict.fromkeys(
@@ -191,7 +197,7 @@ def build(machine) -> Optional[FastPath]:
             "dram.writes", "dram.write_bytes",
             "walker.sets_scanned", "walker.tags_scanned",
             "walker.passes",
-            k_capacity, k_store_evict,
+            reason_key[REASON_CAPACITY], reason_key[REASON_STORE_EVICT],
         ),
         0,
     )
@@ -206,8 +212,24 @@ def build(machine) -> Optional[FastPath]:
     # the directory entry and L2 set it already fetched (the hierarchy
     # methods hold the same references across these steps, so reuse is
     # bit-identical).  The inter-VD coherence corners (upgrades, owner
-    # downgrades, sharer invalidations) and the LLC insert are closures
+    # downgrades, sharer invalidations), the LLC insert, the L1 install,
+    # the DRAM read and the version write-back to the OMC are closures
     # of their own, each the twin of one Hierarchy method.
+    def dram_read(line, t):
+        # Working-memory read (_working_read): DRAM.access's backlog
+        # arithmetic on the device's own lists; returns the latency.
+        ctrl = (line ^ (line >> 4) ^ (line >> 9)) % dram_nctrl
+        last = dram_last[ctrl]
+        if t > last:
+            drained = dram_backlog[ctrl] - (t - last)
+            dram_backlog[ctrl] = drained if drained > 0 else 0
+            dram_last[ctrl] = t
+        latency = dram_backlog[ctrl] + dram_latency
+        dram_backlog[ctrl] += dram_occ
+        c["dram.reads"] += 1
+        c["dram.read_bytes"] += line_bytes
+        return latency
+
     def dram_writeback(line, data, oid, t):
         # Posted write-back to working memory (_working_writeback +
         # _memory_update): queued at ``t``, latency discarded.
@@ -255,6 +277,20 @@ def build(machine) -> Optional[FastPath]:
         llc_set[line] = CacheLine(line, M if dirty else S, oid, data)
         return latency
 
+    def omc_writeback(vd, line, data, oid, reason, now):
+        # Hierarchy._version_writeback without its LLC insert, which the
+        # one caller that wants it (evict_l2_entry) makes itself.
+        c["net.omc_msgs"] += 1
+        c["cst.version_writebacks"] += 1
+        c[reason_key[reason]] += 1
+        latency = hop + on_version_writeback(vd.id, line, oid, data, reason, now)
+        if oracle_on_writeback is not None:
+            oracle_on_writeback(vd, line, oid, reason, now)
+        current = mem_lines.get(line)
+        if current is None or oid >= current[1]:
+            mem_lines[line] = (data, oid)
+        return latency
+
     def l2_putx(vd, line, data, oid, now):
         cache_set = vd_l2_sets[vd.id][line % l2_num_sets]
         entry = cache_set.get(line)
@@ -262,17 +298,10 @@ def build(machine) -> Optional[FastPath]:
         del cache_set[line]
         cache_set[line] = entry
         if versioned and entry.state >= M and entry.oid < oid:
-            # Version write-back to the OMC (latency discarded here,
-            # exactly as the hierarchy's PUTX rule discards it).
-            c["net.omc_msgs"] += 1
-            c["cst.version_writebacks"] += 1
-            c[k_store_evict] += 1
-            on_version_writeback(
-                vd.id, line, entry.oid, entry.data, REASON_STORE_EVICT, now
+            # The PUTX rule discards the write-back latency.
+            omc_writeback(
+                vd, line, entry.data, entry.oid, REASON_STORE_EVICT, now
             )
-            current = mem_lines.get(line)
-            if current is None or entry.oid >= current[1]:
-                mem_lines[line] = (entry.data, entry.oid)
         entry.data = data
         entry.oid = oid
         entry.state = M
@@ -298,6 +327,9 @@ def build(machine) -> Optional[FastPath]:
         vd = vds[vd_id]
         l2_set = vd_l2_sets[vd_id][line % l2_num_sets]
         entry = l2_set.get(line)
+        if oracle_on_coherence is not None:
+            oracle_on_coherence("invalidate_sharer", vd_id, line,
+                                entry.oid if entry is not None else 0, now)
         invalidate_l1s(vd, line, None, now)
         if entry is not None:
             assert not entry.state >= M, "sharer VD holds dirty data"
@@ -314,10 +346,10 @@ def build(machine) -> Optional[FastPath]:
         shard = dir_shards[slice_id]
         dentry = shard.get(line)
         owner = dentry.owner if dentry is not None else None
-        if owner is not None and owner != vd_id:
-            # Only MOESI dirty sharing reaches this (outside the envelope).
-            latency += h._getx_from_remote_owner(vd, core_id, line, now)
-        elif owner != vd_id or (
+        # Another VD owns a line held here in S only under MOESI's O
+        # state, which is outside the envelope.
+        assert owner is None or owner == vd_id
+        if owner is None or (
             dentry is not None and dentry.sharers - {vd_id}
         ):
             # Claim ownership; the data is already present locally.
@@ -363,6 +395,8 @@ def build(machine) -> Optional[FastPath]:
                 break
         entry = vd_l2_sets[owner_id][line % l2_num_sets].get(line)
         assert entry is not None, "directory says owner but L2 has no copy"
+        if oracle_on_coherence is not None:
+            oracle_on_coherence("downgrade", owner_id, line, entry.oid, now)
         for sets in owner_l1_sets:
             peer = sets[l1_index].get(line)
             if peer is not None and peer.state:
@@ -387,6 +421,10 @@ def build(machine) -> Optional[FastPath]:
 
     def evict_l2_entry(vd, entry, now):
         # REASON_CAPACITY only; other reasons stay on the cold paths.
+        if fault_on_event is not None:
+            fault_on_event("eviction", now)
+        if oracle_on_eviction is not None:
+            oracle_on_eviction(vd, entry, REASON_CAPACITY, now)
         line = entry.line
         latency = 0
         invalidate_l1s(vd, line, None, now)
@@ -397,18 +435,11 @@ def build(machine) -> Optional[FastPath]:
         if dirty:
             c["l2.dirty_evictions"] += 1
         if dirty and versioned:
-            # Version write-back to the OMC; this caller keeps the
-            # latency and the line lands dirty in the LLC.
-            c["net.omc_msgs"] += 1
-            c["cst.version_writebacks"] += 1
-            c[k_capacity] += 1
-            latency += hop
-            latency += on_version_writeback(
-                vd.id, line, entry.oid, entry.data, REASON_CAPACITY, now
+            # This caller keeps the write-back latency, and the line
+            # lands dirty in the LLC.
+            latency += omc_writeback(
+                vd, line, entry.data, entry.oid, REASON_CAPACITY, now
             )
-            current = mem_lines.get(line)
-            if current is None or entry.oid >= current[1]:
-                mem_lines[line] = (entry.data, entry.oid)
         latency += llc_insert(line, entry.data, entry.oid, dirty, now)
         if dirty and on_l2_dirty_eviction is not None:
             latency += on_l2_dirty_eviction(
@@ -458,8 +489,8 @@ def build(machine) -> Optional[FastPath]:
                 del l2_cache_set[line]  # lookup(touch=True)
                 l2_cache_set[line] = l2_entry
             if for_store:
-                # The L2 entry survives the upgrade: a remote owner's
-                # transfer (MOESI only) rewrites it in place.
+                # The L2 entry survives the upgrade (which at most marks
+                # it dirty), so its data and OID are still current.
                 latency += upgrade(vd, core_id, line, now + latency)
                 state = E
             else:
@@ -530,17 +561,7 @@ def build(machine) -> Optional[FastPath]:
                 else:
                     c[miss_key[slice_id]] += 1
                     data, oid = mem_lines.get(line, (0, 0))
-                    t = rnow + nl
-                    ctrl = (line ^ (line >> 4) ^ (line >> 9)) % dram_nctrl
-                    last = dram_last[ctrl]
-                    if t > last:
-                        drained = dram_backlog[ctrl] - (t - last)
-                        dram_backlog[ctrl] = drained if drained > 0 else 0
-                        dram_last[ctrl] = t
-                    nl += dram_backlog[ctrl] + dram_latency
-                    dram_backlog[ctrl] += dram_occ
-                    c["dram.reads"] += 1
-                    c["dram.read_bytes"] += line_bytes
+                    nl += dram_read(line, rnow + nl)
             dentry.owner = vd_id
             dentry.sharers.clear()
             state = E
@@ -579,17 +600,7 @@ def build(machine) -> Optional[FastPath]:
                 else:
                     c[miss_key[slice_id]] += 1
                     data, oid = mem_lines.get(line, (0, 0))
-                    t = rnow + nl
-                    ctrl = (line ^ (line >> 4) ^ (line >> 9)) % dram_nctrl
-                    last = dram_last[ctrl]
-                    if t > last:
-                        drained = dram_backlog[ctrl] - (t - last)
-                        dram_backlog[ctrl] = drained if drained > 0 else 0
-                        dram_last[ctrl] = t
-                    nl += dram_backlog[ctrl] + dram_latency
-                    dram_backlog[ctrl] += dram_occ
-                    c["dram.reads"] += 1
-                    c["dram.read_bytes"] += line_bytes
+                    nl += dram_read(line, rnow + nl)
                     if dentry.owner is None and not dentry.sharers:
                         dentry.owner = vd_id
                     else:
@@ -608,18 +619,11 @@ def build(machine) -> Optional[FastPath]:
             latency += evict_l2_entry(vd, victim, inow)
         if l2_entry is not None and l2_entry.state >= M:
             if versioned and l2_entry.oid < oid:
-                # Version write-back (latency discarded, as in the
-                # hierarchy's install path).
-                c["net.omc_msgs"] += 1
-                c["cst.version_writebacks"] += 1
-                c[k_store_evict] += 1
-                on_version_writeback(
-                    vd_id, line, l2_entry.oid, l2_entry.data,
+                # The install path discards the write-back latency.
+                omc_writeback(
+                    vd, line, l2_entry.data, l2_entry.oid,
                     REASON_STORE_EVICT, inow,
                 )
-                current = mem_lines.get(line)
-                if current is None or l2_entry.oid >= current[1]:
-                    mem_lines[line] = (l2_entry.data, l2_entry.oid)
                 l2_entry.data, l2_entry.oid = data, oid
                 if dirty:
                     l2_entry.state = M
@@ -628,10 +632,32 @@ def build(machine) -> Optional[FastPath]:
             l2_cache_set[line] = CacheLine(line, istate, oid, data)
         return latency, data, oid, state
 
+    def l1_install(vd, cache_set, line, state, oid, data, t):
+        # Hierarchy._l1_install on the requesting core's L1 set.
+        if line not in cache_set and len(cache_set) >= l1_ways:
+            victim = cache_set[next(iter(cache_set))]
+            if victim.state >= M:
+                c["l1.dirty_evictions"] += 1
+                l2_putx(vd, victim.line, victim.data, victim.oid, t)
+            del cache_set[victim.line]
+            c["l1.evictions"] += 1
+            # Recycle the evicted CacheLine object: nothing outside
+            # this set holds a reference to it.
+            victim.line = line
+            victim.state = state
+            victim.oid = oid
+            victim.data = data
+            entry = victim
+        else:
+            cache_set.pop(line, None)
+            entry = CacheLine(line, state, oid, data)
+        cache_set[line] = entry
+        return entry
+
     def fused_store(core_id, line, now):
-        # commit_store and l1_install are hand-inlined here: at ~one
-        # store per four accesses they sit on the critical path, and
-        # the call frames alone were measurable.
+        # commit_store is hand-inlined here: at ~one store per four
+        # accesses it sits on the critical path, and the call frame
+        # alone was measurable.
         nonlocal token
         cache_set = l1_sets[core_id][line % l1_num_sets]
         entry = cache_set.get(line)
@@ -651,26 +677,10 @@ def build(machine) -> Optional[FastPath]:
                     vd, core_id, line, True, now + latency
                 )
                 latency += fill_latency
-                # L1 install (store fills arrive Exclusive).
-                t = now + latency
-                if line not in cache_set and len(cache_set) >= l1_ways:
-                    victim = cache_set[next(iter(cache_set))]
-                    if victim.state >= M:
-                        c["l1.dirty_evictions"] += 1
-                        l2_putx(vd, victim.line, victim.data, victim.oid, t)
-                    del cache_set[victim.line]
-                    c["l1.evictions"] += 1
-                    # Recycle the evicted CacheLine object: nothing
-                    # outside this set holds a reference to it.
-                    victim.line = line
-                    victim.state = E
-                    victim.oid = oid
-                    victim.data = data
-                    entry = victim
-                else:
-                    cache_set.pop(line, None)
-                    entry = CacheLine(line, E, oid, data)
-                cache_set[line] = entry
+                # Store fills arrive Exclusive.
+                entry = l1_install(
+                    vd, cache_set, line, E, oid, data, now + latency
+                )
             else:  # MESI.S
                 del cache_set[line]
                 cache_set[line] = entry
@@ -700,6 +710,10 @@ def build(machine) -> Optional[FastPath]:
         c["stores"] += 1
         if store_log is not None:
             store_log.append((entry.line, epoch, token, vd.id, core_id))
+        if oracle_on_store is not None:
+            oracle_on_store(core_id, vd, entry, now + latency)
+        if fault_on_event is not None:
+            fault_on_event("store", now + latency)
         return latency + stall
 
     def fused_load(core_id, line, now):
@@ -719,23 +733,7 @@ def build(machine) -> Optional[FastPath]:
             vd, core_id, line, False, now + latency
         )
         latency += fill_latency
-        # L1 install, inlined (see fused_store).
-        t = now + latency
-        if line not in cache_set and len(cache_set) >= l1_ways:
-            victim = cache_set[next(iter(cache_set))]
-            if victim.state >= M:
-                c["l1.dirty_evictions"] += 1
-                l2_putx(vd, victim.line, victim.data, victim.oid, t)
-            del cache_set[victim.line]
-            c["l1.evictions"] += 1
-            victim.line = line
-            victim.state = state
-            victim.oid = oid
-            victim.data = data
-            cache_set[line] = victim
-        else:
-            cache_set.pop(line, None)
-            cache_set[line] = CacheLine(line, state, oid, data)
+        l1_install(vd, cache_set, line, state, oid, data, now + latency)
         return latency
 
     # -- fused walker poll (NVOverlay; flat per-walker arrays) ---------
@@ -801,8 +799,13 @@ def build(machine) -> Optional[FastPath]:
                         cursor += chunk
                         remaining -= chunk
                         if cursor >= num_sets:
+                            # TagWalker._complete_pass, min-ver 1.
                             cursor = 0
+                            if fault_on_event is not None:
+                                fault_on_event("walker_pass", now)
                             st[4] += 1
+                            if oracle_on_walker_pass is not None:
+                                oracle_on_walker_pass(vd_id, 1, now)
                             update_min_ver(vd_id, 1, now, seq=st[3])
                             c["walker.passes"] += 1
                     c["walker.sets_scanned"] += max_sets
@@ -815,11 +818,15 @@ def build(machine) -> Optional[FastPath]:
                         cold_scan(vd, cursor, now)
                         cursor += 1
                         if cursor >= num_sets:
+                            # TagWalker._complete_pass.
                             cursor = 0
+                            if fault_on_event is not None:
+                                fault_on_event("walker_pass", now)
                             st[4] += 1
-                            update_min_ver(
-                                vd_id, min_dirty_oid(vd), now, seq=st[3]
-                            )
+                            min_ver = min_dirty_oid(vd)
+                            if oracle_on_walker_pass is not None:
+                                oracle_on_walker_pass(vd_id, min_ver, now)
+                            update_min_ver(vd_id, min_ver, now, seq=st[3])
                             c["walker.passes"] += 1
                 st[2] = cursor
             if budget > cap:

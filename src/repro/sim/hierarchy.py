@@ -24,6 +24,14 @@ additionally runs Coherent Snapshot Tracking (§IV):
 State is modelled without transient coherence states: each memory
 operation runs to completion atomically, which is sound for a
 deterministic single-threaded simulator.
+
+These methods are the single reference definition of every transition,
+written plainly.  ``Machine.run`` replays the common ones hand-inlined
+(``repro.sim.fastpath``) on single-socket MESI directory machines with
+DRAM working memory, and still calls a few of the rarer ones from
+there.  Every other machine (MOESI, snoop transport, multi-socket
+meshes, finite directories, NVM working memory) runs this module
+directly, and so do the parity tests' reference legs.
 """
 
 from __future__ import annotations
@@ -170,10 +178,9 @@ class Hierarchy:
         #: comparable across schemes).
         self.store_log: Optional[List[Tuple[int, int, int, int, int]]] = None
 
-        # ---- hot-path acceleration state (caching only, no semantics) ----
-        # Interned per-slice stat keys so the inner loop never builds
-        # f-strings, resolved core->VD map, hoisted geometry latencies,
-        # and a bound Stats.inc — the per-access loop runs on locals.
+        # ---- resolved once (caching only, no semantics) ----
+        # Interned per-slice stat keys, the core->VD map, geometry
+        # latencies and a bound Stats.inc, shared with the fast path.
         slices = range(config.llc_slices)
         self._llc_dir_access_key = [f"llc.{s}.dir_accesses" for s in slices]
         self._llc_fill_key = [f"llc.{s}.fills" for s in slices]
@@ -193,9 +200,6 @@ class Hierarchy:
             for core in range(config.num_cores)
         ]
         self._inc = stats.inc
-        # The counter dict itself (Stats.reset clears it in place): the
-        # hottest sites inline Stats.inc's try/except body on it.
-        self._counters = stats._counters
         self._mem_lines = mem._lines  # the line->(data, oid) dict itself
         # All L1s share one geometry; peer probes index their set lists
         # directly with a single shared set decomposition.
@@ -292,24 +296,15 @@ class Hierarchy:
     ) -> int:
         """Run one access given as plain fields; returns its latency.
 
-        The runner feeds it straight from workload access batches.
-        Single-line accesses (the overwhelmingly common case) skip the
-        per-line loop.
+        The runner feeds it straight from workload access batches; an
+        access spanning several lines runs them back to back.
         """
+        step = self._store if is_store else self._load
         first = addr >> CACHE_LINE_SHIFT
         last = (addr + size - 1) >> CACHE_LINE_SHIFT
-        if is_store:
-            if first == last:
-                return self._store(core_id, first, now)
-            total = 0
-            for line in range(first, last + 1):
-                total += self._store(core_id, line, now + total)
-            return total
-        if first == last:
-            return self._load(core_id, first, now)
         total = 0
         for line in range(first, last + 1):
-            total += self._load(core_id, line, now + total)
+            total += step(core_id, line, now + total)
         return total
 
     def epoch_due(self, vd: VDState) -> bool:
@@ -376,29 +371,13 @@ class Hierarchy:
     # Load path
     # ------------------------------------------------------------------
     def _load(self, core_id: int, line: int, now: int) -> int:
-        l1 = self.l1s[core_id]
-        # Fused L1 hit fast path: one set-dict probe, an in-place LRU
-        # touch, two counter bumps.  Equivalent to lookup()+inc()+inc()
-        # but with no intermediate calls.  state truthiness == "not I".
-        cache_set = l1._sets[line % l1._num_sets]
-        entry = cache_set.get(line)
-        if entry is not None and entry.state:
-            del cache_set[line]
-            cache_set[line] = entry
-            counters = self._counters
-            try:
-                counters["l1.accesses"] += 1
-            except KeyError:
-                self._inc("l1.accesses")
-            try:
-                counters["l1.load_hits"] += 1
-            except KeyError:
-                self._inc("l1.load_hits")
-            return self._l1_latency
-        inc = self._inc
-        inc("l1.accesses")
-        inc("l1.load_misses")
         latency = self._l1_latency
+        self._inc("l1.accesses")
+        entry = self.l1s[core_id].lookup(line)
+        if entry is not None and entry.state != MESI.I:
+            self._inc("l1.load_hits")
+            return latency
+        self._inc("l1.load_misses")
         vd = self._core_vd[core_id]
         fill_latency, data, oid, state = self._vd_fill(
             vd, core_id, line, for_store=False, now=now + latency
@@ -412,29 +391,10 @@ class Hierarchy:
     # ------------------------------------------------------------------
     def _store(self, core_id: int, line: int, now: int) -> int:
         l1 = self.l1s[core_id]
-        # Fused L1 exclusive-hit fast path (E or M: state >= 2; L1 lines
-        # are never O): probe + in-place LRU touch + counters + commit.
-        cache_set = l1._sets[line % l1._num_sets]
-        entry = cache_set.get(line)
-        if entry is not None and entry.state >= MESI.E:
-            del cache_set[line]
-            cache_set[line] = entry
-            counters = self._counters
-            try:
-                counters["l1.accesses"] += 1
-            except KeyError:
-                self._inc("l1.accesses")
-            try:
-                counters["l1.store_hits"] += 1
-            except KeyError:
-                self._inc("l1.store_hits")
-            latency = self._l1_latency
-            vd = self._core_vd[core_id]
-            return latency + self._commit_store(vd, core_id, entry, now + latency)
-
         vd = self._core_vd[core_id]
         latency = self._l1_latency
         self._inc("l1.accesses")
+        entry = l1.lookup(line)
         if entry is None or entry.state == MESI.I:
             self._inc("l1.store_misses")
             fill_latency, data, oid, _state = self._vd_fill(
@@ -444,15 +404,13 @@ class Hierarchy:
             # Exclusive permission granted; install clean-exclusive and let
             # the common commit path below handle versioning.
             entry = self._l1_install(core_id, line, MESI.E, oid, data, now + latency)
-        else:  # MESI.S
-            # The seed path LRU-touched the line before upgrading.
-            del cache_set[line]
-            cache_set[line] = entry
+        elif entry.state == MESI.S:
             self._inc("l1.store_upgrades")
             latency += self._upgrade_for_store(vd, core_id, line, now + latency)
             entry = l1.lookup(line)
             assert entry is not None
-
+        else:  # E or M (L1 lines are never O)
+            self._inc("l1.store_hits")
         latency += self._commit_store(vd, core_id, entry, now + latency)
         return latency
 
@@ -484,10 +442,7 @@ class Hierarchy:
         entry.state = MESI.M
         vd.store_count += 1
         vd.total_stores += 1
-        try:
-            self._counters["stores"] += 1
-        except KeyError:
-            self._inc("stores")
+        self._inc("stores")
         if self.store_log is not None:
             self.store_log.append((entry.line, epoch, token, vd.id, core_id))
         oracle_hook = self._oracle_on_store
@@ -543,14 +498,8 @@ class Hierarchy:
         """Upgrade a shared line to owned: data already present locally."""
         latency = self._request_latency(vd, line)
         slice_id = line % self._num_slices
-        dir_key = self._llc_dir_access_key[slice_id]
-        try:
-            self._counters[dir_key] += 1
-        except KeyError:
-            self._inc(dir_key)
-        dentry = self._dir_shards[slice_id].get(line)
-        if dentry is None:
-            dentry = self._dir_lookup_or_create(line, now)
+        self._inc(self._llc_dir_access_key[slice_id])
+        dentry = self._dir_lookup_or_create(line, now)
         for other_id in sorted(dentry.holders() - {vd.id}):
             latency += self._invalidate_vd(self.vds[other_id], line, now + latency)
         # The LLC data copy goes stale once the upgrading VD writes; a
@@ -586,26 +535,14 @@ class Hierarchy:
         Returns (latency, data, oid, l1_state_to_install).
         """
         latency = self._l2_latency
-        counters = self._counters
-        try:
-            counters["l2.accesses"] += 1
-        except KeyError:
-            self._inc("l2.accesses")
-        l2 = vd.l2
-        l2_cache_set = l2._sets[line % l2._num_sets]
-        l2_entry = l2_cache_set.get(line)
-        if l2_entry is not None:  # LRU touch (lookup(touch=True))
-            del l2_cache_set[line]
-            l2_cache_set[line] = l2_entry
+        self._inc("l2.accesses")
+        l2_entry = vd.l2.lookup(line)
         dentry = self._dir_shards[line % self._num_slices].get(line)
         vd_owns = dentry is not None and dentry.owner == vd.id
         vd_shares = dentry is not None and vd.id in dentry.sharers
 
         if l2_entry is not None and (vd_owns or vd_shares):
-            try:
-                counters["l2.hits"] += 1
-            except KeyError:
-                self._inc("l2.hits")
+            self._inc("l2.hits")
             # Serve locally.  A peer L1 may hold a newer dirty copy.
             peer = self._find_l1_dirty_peer(vd, line, exclude_core=core_id)
             if peer is not None:
@@ -642,10 +579,7 @@ class Hierarchy:
                 state = MESI.E if exclusive else MESI.S
             return latency, l2_entry.data, l2_entry.oid, state
 
-        try:
-            counters["l2.misses"] += 1
-        except KeyError:
-            self._inc("l2.misses")
+        self._inc("l2.misses")
         # Inter-VD request through the directory.
         if for_store:
             net_latency, data, oid, dirty = self._inter_getx(vd, line, now + latency)
@@ -653,9 +587,7 @@ class Hierarchy:
         else:
             net_latency, data, oid = self._inter_gets(vd, line, now + latency)
             dirty = False
-            dentry = self._dir_shards[line % self._num_slices].get(line)
-            if dentry is None:
-                dentry = self._dir_lookup_or_create(line, now)
+            dentry = self._dir_lookup_or_create(line, now)
             state = MESI.E if dentry.owner == vd.id else MESI.S
         latency += net_latency
         latency += self._epoch_sync(vd, oid, now + latency)
@@ -725,29 +657,18 @@ class Hierarchy:
     def _l1_install(
         self, core_id: int, line: int, state: MESI, oid: int, data: int, now: int
     ) -> CacheLine:
-        # Fused needs_victim/choose_victim/remove/insert on the raw set
-        # dict: one set resolution and no CacheArray calls on the hot path.
         l1 = self.l1s[core_id]
-        cache_set = l1._sets[line % self._l1_num_sets]
-        if line not in cache_set and len(cache_set) >= l1._ways:
-            victim = cache_set[next(iter(cache_set))]
+        if l1.needs_victim(line):
+            victim = l1.choose_victim(line)
             if victim.state >= MESI.M:
-                vd = self.vd_of_core(core_id)
-                try:
-                    self._counters["l1.dirty_evictions"] += 1
-                except KeyError:
-                    self._inc("l1.dirty_evictions")
-                self._l2_putx(vd, victim.line, victim.data, victim.oid, now)
-            del cache_set[victim.line]
-            try:
-                self._counters["l1.evictions"] += 1
-            except KeyError:
-                self._inc("l1.evictions")
-        else:
-            cache_set.pop(line, None)
-        entry = CacheLine(line, state, oid, data)
-        cache_set[line] = entry
-        return entry
+                self._inc("l1.dirty_evictions")
+                self._l2_putx(
+                    self._core_vd[core_id], victim.line, victim.data,
+                    victim.oid, now,
+                )
+            l1.remove(victim.line)
+            self._inc("l1.evictions")
+        return l1.insert(line, state, oid, data)
 
     def _l2_putx(self, vd: VDState, line: int, data: int, oid: int, now: int) -> None:
         """L1 write-back into the inclusive L2, honouring version order.
@@ -789,22 +710,19 @@ class Hierarchy:
         sole remaining copy of that version keeps its obligation to be
         written back (to the OMC under CST, to the LLC otherwise).
         """
-        # Fused room-check/probe/insert on the raw set dict.  The victim
-        # eviction never touches ``line`` itself, so probing up front is
-        # equivalent to the unfused probe-after-evict order.
         l2 = vd.l2
-        cache_set = l2._sets[line % l2._num_sets]
-        existing = cache_set.get(line)
         latency = 0
-        if existing is None and len(cache_set) >= l2._ways:
-            victim = cache_set[next(iter(cache_set))]
-            latency = self._evict_l2_entry(vd, victim, REASON_CAPACITY, now)
+        if l2.needs_victim(line):
+            latency = self._evict_l2_entry(
+                vd, l2.choose_victim(line), REASON_CAPACITY, now
+            )
         if dirty:
             state = MESI.M
         elif for_store:
             state = MESI.E
         else:
             state = self._l2_fill_state(vd, line)
+        existing = l2.probe(line)
         if existing is not None and existing.state >= MESI.M:
             # Keep a dirty version rather than downgrading it to a fill.
             if self.versioned and existing.oid < oid:
@@ -816,21 +734,12 @@ class Hierarchy:
                 if dirty:
                     existing.state = MESI.M
             return latency
-        cache_set.pop(line, None)
-        cache_set[line] = CacheLine(line, state, oid, data)
+        l2.insert(line, state, oid, data)
         return latency
 
     def _l2_fill_state(self, vd: VDState, line: int) -> MESI:
         dentry = self._dir_shards[line % self._num_slices].get(line)
         return MESI.E if dentry is not None and dentry.owner == vd.id else MESI.S
-
-    def _ensure_l2_room(self, vd: VDState, line: int, now: int) -> int:
-        l2 = vd.l2
-        cache_set = l2._sets[line % l2._num_sets]
-        if line in cache_set or len(cache_set) < l2._ways:
-            return 0
-        victim = cache_set[next(iter(cache_set))]
-        return self._evict_l2_entry(vd, victim, REASON_CAPACITY, now)
 
     # ------------------------------------------------------------------
     # Evictions
@@ -849,14 +758,10 @@ class Hierarchy:
         # into the L2 entry first (possibly pushing an older L2 version
         # out to the OMC via the PUTX rule).
         self._invalidate_vd_l1s(vd, line, exclude_core=None, now=now)
-        l2_set = vd.l2._sets[line % vd.l2._num_sets]
-        entry = l2_set.get(line)
+        entry = vd.l2.probe(line)
         assert entry is not None
         if entry.state >= MESI.M:
-            try:
-                self._counters["l2.dirty_evictions"] += 1
-            except KeyError:
-                self._inc("l2.dirty_evictions")
+            self._inc("l2.dirty_evictions")
             if self.versioned:
                 latency += self._version_writeback(
                     vd, line, entry.data, entry.oid, reason, to_llc=True, now=now
@@ -869,11 +774,8 @@ class Hierarchy:
         else:
             # Clean victim: keep a copy in the non-inclusive LLC.
             latency += self._llc_insert(line, entry.data, entry.oid, dirty=False, now=now)
-        del l2_set[line]
-        try:
-            self._counters["l2.evictions"] += 1
-        except KeyError:
-            self._inc("l2.evictions")
+        vd.l2.remove(line)
+        self._inc("l2.evictions")
         # The entry stays: the line now sits in the LLC, and the LLC
         # victim path drops entries nobody holds.
         dentry = self._dir_shards[line % self._num_slices].get(line)
@@ -895,18 +797,8 @@ class Hierarchy:
     ) -> int:
         """Send a version to the OMC (bypassing the LLC, §IV-A2)."""
         latency = self.net.vd_to_omc(vd.id)
-        counters = self._counters
-        try:
-            counters["cst.version_writebacks"] += 1
-        except KeyError:
-            self._inc("cst.version_writebacks")
-        key = self._evict_reason_key.get(reason)
-        if key is None:
-            key = f"evict_reason.{reason}"
-        try:
-            counters[key] += 1
-        except KeyError:
-            self._inc(key)
+        self._inc("cst.version_writebacks")
+        self._inc(self._evict_reason_key.get(reason) or f"evict_reason.{reason}")
         latency += self.scheme.on_version_writeback(vd.id, line, oid, data, reason, now)
         oracle_hook = self._oracle_on_writeback
         if oracle_hook is not None:
@@ -927,11 +819,7 @@ class Hierarchy:
         slice_id = line % self._num_slices
         array = self.llc[slice_id]
         latency = self._llc_latency
-        fill_key = self._llc_fill_key[slice_id]
-        try:
-            self._counters[fill_key] += 1
-        except KeyError:
-            self._inc(fill_key)
+        self._inc(self._llc_fill_key[slice_id])
         cache_set = array._sets[line % array._num_sets]
         existing = cache_set.get(line)
         if existing is not None:
@@ -947,20 +835,14 @@ class Hierarchy:
         victim = cache_set[next(iter(cache_set))]
         latency = 0
         if victim.state >= MESI.M:
-            try:
-                self._counters["llc.dirty_evictions"] += 1
-            except KeyError:
-                self._inc("llc.dirty_evictions")
+            self._inc("llc.dirty_evictions")
             self._working_writeback(victim.line, now)
             self._memory_update(victim.line, victim.data, victim.oid)
             hook = self._scheme_on_llc_dirty_eviction
             if hook is not None:
                 latency += hook(victim.line, victim.oid, victim.data, now)
         del cache_set[victim.line]
-        try:
-            self._counters["llc.evictions"] += 1
-        except KeyError:
-            self._inc("llc.evictions")
+        self._inc("llc.evictions")
         shard = self._dir_shards[victim.line % self._num_slices]
         dentry = shard.get(victim.line)
         if dentry is not None and dentry.is_empty():
@@ -1061,14 +943,8 @@ class Hierarchy:
             latency = self.net.snoop_broadcast(self.config.num_vds)
         else:
             latency = self.net.vd_to_llc(vd.id, slice_id) + self._llc_latency
-        dir_key = self._llc_dir_access_key[slice_id]
-        try:
-            self._counters[dir_key] += 1
-        except KeyError:
-            self._inc(dir_key)
-        dentry = self._dir_shards[slice_id].get(line)
-        if dentry is None:
-            dentry = self._dir_lookup_or_create(line, now)
+        self._inc(self._llc_dir_access_key[slice_id])
+        dentry = self._dir_lookup_or_create(line, now)
 
         if dentry.owner is not None and dentry.owner != vd.id:
             owner = self.vds[dentry.owner]
@@ -1089,17 +965,9 @@ class Hierarchy:
                 dentry.sharers.add(vd.id)
             return latency, data, oid
 
-        array = self.llc[slice_id]
-        llc_set = array._sets[line % array._num_sets]
-        llc_entry = llc_set.get(line)
+        llc_entry = self.llc[slice_id].lookup(line)
         if llc_entry is not None:
-            del llc_set[line]  # LRU touch (lookup(touch=True))
-            llc_set[line] = llc_entry
-            hit_key = self._llc_hit_key[slice_id]
-            try:
-                self._counters[hit_key] += 1
-            except KeyError:
-                self._inc(hit_key)
+            self._inc(self._llc_hit_key[slice_id])
             if dentry.is_empty() and not llc_entry.state >= MESI.M:
                 dentry.owner = vd.id
             else:
@@ -1114,11 +982,7 @@ class Hierarchy:
                     data, oid = mem_data, mem_oid
             return latency, data, oid
 
-        miss_key = self._llc_miss_key[slice_id]
-        try:
-            self._counters[miss_key] += 1
-        except KeyError:
-            self._inc(miss_key)
+        self._inc(self._llc_miss_key[slice_id])
         data, oid = self.mem.read_line(line)
         latency += self._working_read(line, now + latency)
         if dentry.is_empty():
@@ -1134,14 +998,8 @@ class Hierarchy:
             latency = self.net.snoop_broadcast(self.config.num_vds)
         else:
             latency = self.net.vd_to_llc(vd.id, slice_id) + self._llc_latency
-        dir_key = self._llc_dir_access_key[slice_id]
-        try:
-            self._counters[dir_key] += 1
-        except KeyError:
-            self._inc(dir_key)
-        dentry = self._dir_shards[slice_id].get(line)
-        if dentry is None:
-            dentry = self._dir_lookup_or_create(line, now)
+        self._inc(self._llc_dir_access_key[slice_id])
+        dentry = self._dir_lookup_or_create(line, now)
 
         data: Optional[int] = None
         oid = 0
@@ -1166,16 +1024,9 @@ class Hierarchy:
 
         if data is None:
             array = self.llc[slice_id]
-            llc_set = array._sets[line % array._num_sets]
-            llc_entry = llc_set.get(line)
+            llc_entry = array.lookup(line)
             if llc_entry is not None:
-                del llc_set[line]  # LRU touch (lookup(touch=True))
-                llc_set[line] = llc_entry
-                hit_key = self._llc_hit_key[slice_id]
-                try:
-                    self._counters[hit_key] += 1
-                except KeyError:
-                    self._inc(hit_key)
+                self._inc(self._llc_hit_key[slice_id])
                 data, oid = llc_entry.data, llc_entry.oid
                 # Exclusive ownership moves up and the LLC copy becomes
                 # stale.  A dirty copy's handling differs by mode: under
@@ -1190,18 +1041,14 @@ class Hierarchy:
                         self._memory_update(line, llc_entry.data, llc_entry.oid)
                     else:
                         dirty = True
-                del llc_set[line]
+                array.remove(line)
                 if self.versioned:
                     # The working copy may be newer (see _inter_gets).
                     mem_data, mem_oid = self.mem.read_line(line)
                     if mem_oid > oid:
                         data, oid = mem_data, mem_oid
             else:
-                miss_key = self._llc_miss_key[slice_id]
-                try:
-                    self._counters[miss_key] += 1
-                except KeyError:
-                    self._inc(miss_key)
+                self._inc(self._llc_miss_key[slice_id])
                 data, oid = self.mem.read_line(line)
                 latency += self._working_read(line, now + latency)
 
@@ -1385,21 +1232,14 @@ class Hierarchy:
         peer probe and the L2 entry re-check run inline on the held
         entry objects instead of re-resolving the line each time.
         """
-        counters = self._counters
-        try:
-            counters["walker.sets_scanned"] += 1
-        except KeyError:
-            self._inc("walker.sets_scanned")
+        self._inc("walker.sets_scanned")
         l2_set = vd.l2._sets[set_index]
         if not l2_set:
             return
         entries = list(l2_set.values())
         # Bulk tag-counter bump: no observation point (stats dump or
         # fault-injection hook) can fire inside a single set scan.
-        try:
-            counters["walker.tags_scanned"] += len(entries)
-        except KeyError:
-            self._inc("walker.tags_scanned", len(entries))
+        self._inc("walker.tags_scanned", len(entries))
         l1_sets = self._vd_l1_sets[vd.id]
         l1_num_sets = self._l1_num_sets
         # cur_epoch cannot advance mid-scan: nothing reachable from the

@@ -10,9 +10,10 @@ experiments (VDs genuinely skew when their threads progress unevenly).
 
 Each run takes its per-access function (and NVOverlay's walker poll)
 from ``fastpath.build``: every scheme on a single-socket MESI directory
-machine with DRAM working memory runs hand-inlined transitions,
-everything else (and every oracle- or fault-injected run) the
-``Hierarchy`` methods.  Both paths produce bit-identical results.
+machine with DRAM working memory runs hand-inlined transitions, with or
+without a protocol oracle or fault injector attached; every other
+machine runs the ``Hierarchy`` methods.  Both paths produce
+bit-identical results.
 """
 
 from __future__ import annotations

@@ -1,17 +1,20 @@
 """The fast path of ``Machine.run`` (``repro.sim.fastpath``).
 
 Determinism is the whole contract: a run on the fast path must equal
-the reference path — the ``Hierarchy`` methods — bit for bit.  An armed
-protocol oracle keeps a run on the reference path, so every parity test
-here compares an unarmed run against an armed run of the same workload.
-These tests pin which runs take which path (every scheme on the
-single-socket MESI directory machine) and cover what the fast path
-carries along: the baselines' store, eviction and ``poll`` hooks,
-the inter-VD coherence corners, ``max_transactions``, lazily generated
-workloads, latency histograms, snapshot serving and resumed machines.
-The heavyweight sweeps are the golden-parity legs
-(``test_golden_parity.py``) and the fuzzer's fast-vs-reference leg
-over every scheme (``test_fuzz_protocol.py``).
+the reference path — the ``Hierarchy`` methods — bit for bit.  Only the
+machine's configuration and scheme pick the path, so every parity test
+here reaches the reference path by patching ``fastpath.build`` to
+return ``None``, and runs both legs with the protocol oracle armed, so
+the oracle checks the fast path's invariants too.  These tests pin
+which runs take which path (every scheme on the single-socket MESI
+directory machine, with or without an oracle or fault injector) and
+cover what the fast path carries along: the baselines' store, eviction
+and ``poll`` hooks, the oracle's and the injector's events, crash
+verification, the inter-VD coherence corners, ``max_transactions``,
+lazily generated workloads, latency histograms, snapshot serving,
+resumed machines and tag-walker scans.  The heavyweight sweeps are the
+golden-parity legs (``test_golden_parity.py``) and the fuzzer's
+fast-vs-reference leg over every scheme (``test_fuzz_protocol.py``).
 """
 
 import json
@@ -20,13 +23,13 @@ import pytest
 
 from repro.baselines import ICLogging
 from repro.core import NVOverlay, NVOverlayParams
-from repro.faults import FaultInjector
+from repro.faults import ANY_EVENT, CRASH_EVENTS, CrashPlan, FaultInjector, verify_crash
 from repro.harness import runner
 from repro.harness.runner import SCHEMES, make_scheme, simulate
 from repro.harness.spec import RunSpec
 from repro.oracle.invariants import ProtocolOracle
 from repro.serve import ServePolicy
-from repro.sim import Machine, SystemConfig, machine_for
+from repro.sim import Machine, SystemConfig, fastpath, machine_for
 from repro.sim.config import CacheGeometry
 from repro.sim.hierarchy import Hierarchy
 from repro.workloads import make_workload
@@ -48,19 +51,30 @@ def _fingerprint(machine, result):
         machine.hierarchy.memory_image(),
         machine.hierarchy.store_log,
         machine.nvm.bandwidth_series(),
+        machine.oracle.summary() if machine.oracle is not None else None,
     )
+
+
+def _reference_path(monkeypatch):
+    """Send every later run down the reference path."""
+    monkeypatch.setattr(fastpath, "build", lambda machine: None)
 
 
 def _run_both(workload="uniform", prepare=None, scheme="nvoverlay",
               config=None, **run_kwargs):
-    """Run one workload unarmed and oracle-armed; return both machines."""
+    """Run one workload oracle-armed on the fast path and on the
+    reference path; return both machines."""
     runs = []
-    for oracle in (None, ProtocolOracle()):
-        machine = Machine(config or SystemConfig(), scheme=make_scheme(scheme),
-                          capture_store_log=True, oracle=oracle)
-        if prepare is not None:
-            prepare(machine)
-        result = machine.run(_workload(workload), **run_kwargs)
+    for reference in (False, True):
+        with pytest.MonkeyPatch.context() as patch:
+            if reference:
+                _reference_path(patch)
+            machine = Machine(config or SystemConfig(),
+                              scheme=make_scheme(scheme),
+                              capture_store_log=True, oracle=ProtocolOracle())
+            if prepare is not None:
+                prepare(machine)
+            result = machine.run(_workload(workload), **run_kwargs)
         runs.append((machine, result))
     (fast, fast_result), (reference, reference_result) = runs
     assert fast.fast_path
@@ -111,14 +125,30 @@ def test_baselines_take_the_fast_path(config, scheme):
     ("ideal", SystemConfig(working_memory="nvm"), {}),
     ("nvoverlay", SystemConfig.scaled(8, cores_per_vd=4, num_sockets=2), {}),
     ("nvoverlay", SystemConfig(directory_entries_per_slice=256), {}),
-    ("nvoverlay", SystemConfig(), {"oracle": ProtocolOracle()}),
-    ("nvoverlay", SystemConfig(), {"fault_injector": FaultInjector(None)}),
 ], ids=["moesi", "picl-moesi", "snoop", "nvm-working-memory",
-        "multi-socket", "finite-directory", "oracle", "fault-injector"])
+        "multi-socket", "finite-directory"])
 def test_reference_path_cases(scheme, config, kwargs):
     machine = Machine(config, scheme=make_scheme(scheme), **kwargs)
     machine.run(_workload(cores=config.num_cores, scale=0.02))
     assert not machine.fast_path
+
+
+@pytest.mark.parametrize("scheme", ["nvoverlay", "picl"])
+@pytest.mark.parametrize("checker", ["oracle", "fault_injector"],
+                         ids=["oracle", "fault-injector"])
+def test_armed_runs_take_the_fast_path(checker, scheme):
+    """An attached oracle or crash-point injector does not pick the
+    path: an armed in-envelope run takes the fast path, and the
+    checker sees its events."""
+    armed = ProtocolOracle() if checker == "oracle" else FaultInjector(None)
+    machine = Machine(SystemConfig(), scheme=make_scheme(scheme),
+                      **{checker: armed})
+    machine.run(_workload(scale=0.02))
+    assert machine.fast_path
+    if checker == "oracle":
+        assert armed.trace.counts["store"] > 0
+    else:
+        assert armed.event_totals()["store"] > 0
 
 
 def test_instance_patched_poll_is_called():
@@ -303,7 +333,8 @@ def test_parity_of_a_resumed_machine():
 
 def test_parity_of_a_serve_record(monkeypatch):
     """A snapshot-serving cell: the reader scheduler's ``txn_hook`` rides
-    the fast path and the record matches the armed reference."""
+    the fast path, and the armed record matches the reference path's,
+    oracle event and scan counts included."""
     built = []
 
     def capture(*args, **kwargs):
@@ -318,6 +349,7 @@ def test_parity_of_a_serve_record(monkeypatch):
         config=SystemConfig(epoch_size_stores=200),
         scale=0.02,
         seed=1,
+        oracle=True,
         capture_latency=True,
         nvo_params=NVOverlayParams(
             pool_pages=512, quota_pages=256, os_grow_pages=128
@@ -325,27 +357,179 @@ def test_parity_of_a_serve_record(monkeypatch):
         serve=ServePolicy(sessions=8, reads_per_session=16, gc_every=64),
     )
     fast = simulate(spec).to_dict()
-    reference = simulate(spec.with_changes(oracle=True)).to_dict()
+    _reference_path(monkeypatch)
+    reference = simulate(spec).to_dict()
     assert [machine.fast_path for machine in built] == [True, False]
     assert fast["extra"]["serve_reads"] > 0
-    reference["extra"] = {
-        key: value for key, value in reference["extra"].items()
-        if not key.startswith("oracle_")
-    }
+    assert fast["extra"]["oracle_events"] > 0
     assert fast == reference
 
 
-def test_record_text_is_independent_of_the_path():
+def test_record_text_is_independent_of_the_path(monkeypatch):
     """The fast path registers its deferred counters when the run ends,
     so ``Stats`` keys arrive in a different order than on the reference
     path; ``simulate`` builds ``nvm_bytes`` and ``evict_reasons`` in key
     order, so both records serialize to the same text."""
-    spec = RunSpec(workload="load_burst", scheme="nvoverlay", scale=0.02)
+    spec = RunSpec(workload="load_burst", scheme="nvoverlay", scale=0.02,
+                   oracle=True)
     fast = simulate(spec).to_dict()
-    reference = simulate(spec.with_changes(oracle=True)).to_dict()
-    reference["extra"] = {
-        key: value for key, value in reference["extra"].items()
-        if not key.startswith("oracle_")
-    }
+    _reference_path(monkeypatch)
+    reference = simulate(spec).to_dict()
     assert len(fast["evict_reasons"]) > 2
     assert json.dumps(fast) == json.dumps(reference)
+
+
+# -- the checkers see the same run on both paths ------------------------------
+
+def _recording_build(monkeypatch, reference):
+    """Patch ``fastpath.build`` (to the reference path if ``reference``)
+    and return the list of paths the later runs take (True = fast)."""
+    taken = []
+    build = fastpath.build
+
+    def recording(machine):
+        fast = None if reference else build(machine)
+        taken.append(fast is not None)
+        return fast
+
+    monkeypatch.setattr(fastpath, "build", recording)
+    return taken
+
+
+def _armed_events(config, workload, scheme, cores):
+    oracle = ProtocolOracle(trace_capacity=1 << 20)
+    injector = FaultInjector(None)
+    machine = Machine(config, scheme=make_scheme(scheme), oracle=oracle,
+                      fault_injector=injector)
+    machine.run(_workload(workload, cores=cores))
+    return machine, [e.to_dict() for e in oracle.trace], injector.event_totals()
+
+
+@pytest.mark.parametrize("workload,scheme,cores", [
+    (workload, scheme, 16)
+    for workload in ("btree", "kmeans", "intruder")
+    for scheme in ("nvoverlay", "picl_l2")
+] + [("uniform", "nvoverlay", 64)])
+def test_oracle_and_injector_see_the_same_events(monkeypatch, workload,
+                                                 scheme, cores):
+    """Every oracle event (stores, evictions, write-backs, coherence
+    actions, epoch advances, walker passes, merges) and every injector
+    count match one by one.  The 16-core cells run 200-store epochs, so
+    their walker passes take the fast path's branch for a VD past epoch
+    1; the 64-core batched cell's take the epoch-1 branch."""
+    config = (
+        SystemConfig(epoch_size_stores=200) if cores == 16
+        else SystemConfig.scaled(cores, batch_epoch_sync=True)
+    )
+    fast, fast_events, fast_totals = _armed_events(config, workload, scheme, cores)
+    assert fast.fast_path
+    _reference_path(monkeypatch)
+    reference, events, totals = _armed_events(config, workload, scheme, cores)
+    assert not reference.fast_path
+    assert fast_totals["store"] > 0
+    if scheme == "nvoverlay":
+        assert fast_totals["walker_pass"] > 0
+    assert fast_totals == totals
+    assert fast_events == events
+
+
+CRASH_SPEC = RunSpec(
+    workload="uniform",
+    scheme="nvoverlay",
+    config=SystemConfig(epoch_size_stores=100),
+    scale=0.1,
+    seed=1,
+    nvo_params=NVOverlayParams(use_omc_buffer=True),
+)
+
+
+@pytest.fixture(scope="module")
+def crash_probe():
+    """Event totals of the crash spec's uncrashed run."""
+    return verify_crash(CRASH_SPEC, None).event_totals
+
+
+@pytest.mark.parametrize("event", CRASH_EVENTS + (ANY_EVENT,))
+def test_crash_verification_agrees_on_both_paths(crash_probe, event):
+    """A crash at the first, middle and last event of each kind (the
+    OMC buffer is on, so buffer writes count too) stops both paths at
+    the same cycle and recovers the same epoch and image."""
+    total = crash_probe[event]
+    assert total > 0
+    for count in sorted({1, (total + 1) // 2, total}):
+        plan = CrashPlan(event=event, count=count)
+        runs = []
+        for reference in (False, True):
+            with pytest.MonkeyPatch.context() as patch:
+                taken = _recording_build(patch, reference)
+                runs.append(verify_crash(CRASH_SPEC, plan))
+            assert taken == [not reference]
+        fast, reference = runs
+        assert fast.crashed and fast.crash_count == count
+        assert (fast.crash_cycle, fast.rec_epoch, fast.recovered_image,
+                fast.ok) == (reference.crash_cycle, reference.rec_epoch,
+                             reference.recovered_image, reference.ok)
+
+
+# -- tag-walker scans ---------------------------------------------------------
+
+#: 24 L1 sets and 64 L2 sets: an L2 set's lines map to several L1 sets,
+#: so ``walker_scan_set`` takes its per-line peer loop.
+UNEVEN_SETS = SystemConfig(
+    l1_geometry=CacheGeometry(3 * 1024, 2, 4),
+    l2_geometry=CacheGeometry(16 * 1024, 4, 8),
+    epoch_size_stores=200,
+)
+
+
+def test_parity_when_l2_sets_are_not_a_multiple_of_l1_sets():
+    fast, _ = _run_both(workload="btree", config=UNEVEN_SETS)
+    assert fast.config.l2_geometry.num_sets % fast.config.l1_geometry.num_sets
+    assert fast.stats.get("evict_reason.tag_walk") > 0
+
+
+def _cache_contents(machine):
+    h = machine.hierarchy
+    arrays = h.l1s + [vd.l2 for vd in h.vds] + h.llc
+    return [
+        [(e.line, e.state, e.oid, e.data) for s in array._sets for e in s.values()]
+        for array in arrays
+    ]
+
+
+@pytest.mark.parametrize(
+    "config", [UNEVEN_SETS, SystemConfig(epoch_size_stores=200)],
+    ids=["uneven-sets", "default"],
+)
+def test_walker_scan_set_is_walker_persist_per_tag(config):
+    """One ``walker_scan_set`` call equals ``walker_persist`` applied to
+    each tag resident in the set when the scan starts, on both of its
+    peer loops.  The machines stop mid-run (no finalize flush), so old
+    dirty versions sit in the L1s and L2s."""
+    machines = []
+    for _ in range(2):
+        machine = Machine(config, scheme=make_scheme("nvoverlay"))
+        machine.scheme.finalize = lambda now: None
+        result = machine.run(_workload("btree"), max_transactions=600)
+        machines.append(machine)
+    scanned, persisted = machines
+    now = result.cycles
+    before = scanned.stats.get("evict_reason.tag_walk")
+    for vd in scanned.hierarchy.vds:
+        for set_index in range(config.l2_geometry.num_sets):
+            scanned.hierarchy.walker_scan_set(vd, set_index, now)
+    h = persisted.hierarchy
+    for vd in h.vds:
+        for cache_set in vd.l2._sets:
+            for line in list(cache_set):
+                h.walker_persist(vd, line, now)
+    assert scanned.stats.get("evict_reason.tag_walk") > before
+    scans = scanned.stats.counters("walker.")
+    scans_before = persisted.stats.counters("walker.")
+    assert scans["walker.sets_scanned"] - scans_before["walker.sets_scanned"] == (
+        len(h.vds) * config.l2_geometry.num_sets
+    )
+    assert scanned.stats.counters() == {**persisted.stats.counters(), **scans}
+    assert _cache_contents(scanned) == _cache_contents(persisted)
+    assert scanned.hierarchy.memory_image() == h.memory_image()
+    assert scanned.nvm.bandwidth_series() == persisted.nvm.bandwidth_series()

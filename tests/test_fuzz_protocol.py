@@ -12,12 +12,14 @@ oracle-armed under nvoverlay and ideal on one of several geometries —
 * nvoverlay and ideal agree on every scheme-independent identity
   (store counts, per-line writer histograms, uncontested final writers).
 
+The armed runs of the single-socket geometries take ``Machine.run``'s
+fast path, the multi-socket ones the ``Hierarchy`` reference methods.
 A second sweep replays the seeds of the single-socket geometries under
 every registered scheme, plus a 64-core scaled machine under ideal,
-picl and nvoverlay, unarmed and armed: the unarmed run takes
-``Machine.run``'s fast path, the armed one the ``Hierarchy`` reference
-methods, and the two must be bit-identical — the fuzzer covers both
-execution paths for every scheme.
+picl and nvoverlay, oracle-armed on the fast path and on the reference
+path (``fastpath.build`` patched to return ``None``), and the two must
+be bit-identical — the fuzzer covers both execution paths for every
+scheme.
 
 The seed budget defaults to ~200 spread evenly across the geometries;
 set ``REPRO_FUZZ_SEEDS`` to deepen it (e.g. ``REPRO_FUZZ_SEEDS=2000``
@@ -34,7 +36,7 @@ from repro.core.snapshot import golden_image
 from repro.harness.runner import SCHEMES, make_scheme
 from repro.oracle.differential import compare_outcomes, summarize_log
 from repro.oracle.invariants import ProtocolOracle
-from repro.sim import Machine, SystemConfig
+from repro.sim import Machine, SystemConfig, fastpath
 from repro.sim.trace import load, store
 from repro.sim.validate import validate_hierarchy
 from repro.workloads import Workload, freeze_workload
@@ -158,8 +160,9 @@ FAST_PATH_GEOMETRIES = [
 def test_fuzz_fast_path_parity(stripe, geometry, schemes):
     """Every fuzz seed must be bit-identical on the fast path and the
     reference path under every scheme: same cycles, per-thread cycles,
-    counters, memory image, store log and NVM bandwidth series, with a
-    clean structural check of the fast path's hierarchy."""
+    counters, memory image, store log, NVM bandwidth series and oracle
+    event counts, with a clean structural check of the fast path's
+    hierarchy.  Both legs run oracle-armed."""
     cores, cores_per_vd, sockets, batch = geometry
     config = SystemConfig.scaled(
         cores,
@@ -171,14 +174,16 @@ def test_fuzz_fast_path_parity(stripe, geometry, schemes):
         frozen = freeze_workload(FuzzWorkload(cores, seed))
         for name in schemes:
             fast = Machine(config, scheme=make_scheme(name),
-                           capture_store_log=True)
+                           capture_store_log=True, oracle=ProtocolOracle())
             fast_result = fast.run(frozen)
             assert fast.fast_path, f"seed {seed}: {name} left the fast path"
             validate_hierarchy(fast.hierarchy)
-            reference = Machine(config, scheme=make_scheme(name),
-                                capture_store_log=True,
-                                oracle=ProtocolOracle())
-            reference_result = reference.run(frozen)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(fastpath, "build", lambda machine: None)
+                reference = Machine(config, scheme=make_scheme(name),
+                                    capture_store_log=True,
+                                    oracle=ProtocolOracle())
+                reference_result = reference.run(frozen)
             assert not reference.fast_path
             mismatch = {
                 field: (getattr(reference_result, field),
@@ -196,6 +201,8 @@ def test_fuzz_fast_path_parity(stripe, geometry, schemes):
                 mismatch["store_log"] = "diverged"
             if reference.nvm.bandwidth_series() != fast.nvm.bandwidth_series():
                 mismatch["bandwidth_series"] = "diverged"
+            if reference.oracle.summary() != fast.oracle.summary():
+                mismatch["oracle"] = "diverged"
             assert not mismatch, (
                 f"seed {seed} ({cores}c): {name} diverged on the fast "
                 f"path from the reference path: {mismatch}"

@@ -7,17 +7,21 @@ the spec cache key, each hashed.  The optimized simulator must reproduce
 every one of them exactly — a perf change that shifts any counter,
 cycle count or memory byte is a semantics change, not an optimization.
 
-Every cell runs twice, and both legs must match every behavioural hash:
+Every cell runs three times, and each leg must match every behavioural
+hash:
 
 * ``serial`` — the default unarmed run, as every user run takes it:
   cells inside the fast-path envelope (any scheme on a single-socket
   MESI directory machine with DRAM working memory; every cell here)
   run ``repro.sim.fastpath``'s hand-inlined transitions;
-* ``armed`` — the protocol oracle attached, which keeps the run on the
-  ``Hierarchy`` reference methods with every invariant checked.
+* ``armed`` — the protocol oracle attached, on the same fast path, with
+  every invariant checked;
+* ``reference`` — the oracle attached and ``fastpath.build`` patched to
+  return ``None``, so the run takes the ``Hierarchy`` reference methods.
 
-The ``spec_key`` hash is only compared for the unarmed leg: ``oracle``
-joins the cache key, so the armed spec hashes elsewhere.
+Each leg asserts the path it took.  The ``spec_key`` hash is only
+compared for the unarmed leg: ``oracle`` joins the cache key, so an
+armed spec hashes elsewhere.
 
 One cell is a serve cell: the ``timetravel`` load scenario's nvoverlay
 leg at scale 0.025 (32 snapshot reader sessions, reclaim every 64 write
@@ -37,6 +41,7 @@ from repro.harness.bench import run_fingerprint
 from repro.harness.runner import SCHEMES
 from repro.harness.spec import RunSpec, nvo_params_from_dict
 from repro.serve import ServePolicy
+from repro.sim import fastpath
 from repro.sim.config import SystemConfig
 
 FIXTURE = Path(__file__).parent / "data" / "golden_parity.json"
@@ -71,9 +76,20 @@ def _cell_config(cell):
     )
 
 
-@pytest.mark.parametrize("oracle", [False, True], ids=["serial", "armed"])
+@pytest.mark.parametrize("leg", ["serial", "armed", "reference"])
 @pytest.mark.parametrize("cell", _CELLS, ids=[_cell_id(c) for c in _CELLS])
-def test_fingerprint_matches_seed(cell, oracle):
+def test_fingerprint_matches_seed(monkeypatch, cell, leg):
+    oracle = leg != "serial"
+    fast_path = leg != "reference"
+    taken = []
+    build = fastpath.build
+
+    def recording_build(machine):
+        fast = build(machine) if fast_path else None
+        taken.append(fast is not None)
+        return fast
+
+    monkeypatch.setattr(fastpath, "build", recording_build)
     spec = RunSpec(
         workload=cell["workload"],
         scheme=cell["scheme"],
@@ -86,6 +102,7 @@ def test_fingerprint_matches_seed(cell, oracle):
         serve=ServePolicy.from_dict(cell["serve"]) if cell.get("serve") else None,
     )
     fingerprint = run_fingerprint(spec)
+    assert taken == [fast_path]
     expected = cell["fingerprint"]
     mismatched = {
         key: (expected[key], fingerprint.get(key))
@@ -98,7 +115,7 @@ def test_fingerprint_matches_seed(cell, oracle):
                 expected["spec_key"], fingerprint.get("spec_key")
             )
     assert not mismatched, (
-        f"{cell['workload']}/{cell['scheme']} (oracle={oracle}) "
+        f"{cell['workload']}/{cell['scheme']} ({leg} leg) "
         f"diverged from the seed implementation: {mismatched}"
     )
 
