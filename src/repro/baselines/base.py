@@ -46,7 +46,10 @@ class GlobalEpochScheme(SnapshotScheme):
     def on_store(self, core_id: int, vd_id: int, line: int, old_oid: int, now: int) -> int:
         self.global_stores += 1
         self.total_stores += 1
-        self.write_sets.setdefault(core_id, set()).add(line)
+        write_set = self.write_sets.get(core_id)
+        if write_set is None:
+            write_set = self.write_sets[core_id] = set()
+        write_set.add(line)
         self.epoch_write_set.add(line)
         return self.store_hook(core_id, line, now)
 

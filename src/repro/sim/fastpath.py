@@ -2,7 +2,7 @@
 
 :func:`build` specializes the single-socket MESI directory machine for
 one run into closures over flat local state: the cache-set LRU dicts, a
-local counter dict and, under NVOverlay, the walker scan budgets.  Every
+local counter list and, under NVOverlay, the walker scan budgets.  Every
 scheme runs them.  The version protocol (store-eviction, version
 write-backs to the OMC, epoch sync, the per-VD tag walkers) is gated on
 one closure constant.  The baselines' store and dirty-eviction hooks,
@@ -24,6 +24,18 @@ coherence corners have closures too: store upgrades, owner downgrades
   past epoch 1, and ``min_dirty_oid``: once per epoch advance, set
   scan or walker pass.
 
+Every counter the closures bump goes into one slot of a flat list,
+indexed by the module constants named after :data:`COUNTER_NAMES`, and
+``flush`` adds the list into ``Stats`` once at the end.  Five totals are
+exact functions of other slots, so no closure bumps them and ``flush``
+derives them: ``stores`` = ``l1.store_hits + l1.store_misses +
+l1.store_upgrades`` (every ``fused_store`` bumps exactly one of the
+three), ``l1.accesses`` = that plus ``l1.load_hits + l1.load_misses``
+(likewise every ``fused_load``), ``l2.accesses`` = ``l2.hits +
+l2.misses`` (every ``vd_fill`` takes one branch), and
+``dram.read_bytes`` / ``dram.write_bytes`` = 64 × ``dram.reads`` /
+``dram.writes``.
+
 ``Machine.run`` asks for the fast path at the start of every run.
 Outside the envelope of :func:`in_envelope`, :func:`build` returns
 ``None`` and the run takes the ``Hierarchy`` methods, which stay the
@@ -33,7 +45,7 @@ configuration and scheme decide the path, never an attached checker.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .cache import MESI, CacheLine
 from .config import CACHE_LINE_SHIFT, CACHE_LINE_SIZE
@@ -46,6 +58,45 @@ from .scheme import (
 )
 
 __all__ = ["FastPath", "build", "in_envelope"]
+
+#: The counters the fast path keeps, one slot each in a flat list, in
+#: the order ``flush`` adds them into ``Stats``.  ``build`` appends the
+#: two evict-reason keys and the per-slice LLC keys.  Five of these no
+#: closure bumps; ``flush`` derives them (module docstring).  A new
+#: fast-path counter joins this tuple and the unpacking below, which
+#: fails at import if the two disagree.
+COUNTER_NAMES = (
+    "l1.accesses", "l1.load_hits", "l1.load_misses",
+    "l1.store_hits", "l1.store_misses", "l1.store_upgrades",
+    "l1.dirty_evictions", "l1.evictions",
+    "l2.accesses", "l2.hits", "l2.misses",
+    "l2.dirty_evictions", "l2.evictions",
+    "llc.dirty_evictions", "llc.evictions",
+    "stores", "cst.store_evictions", "cst.version_writebacks",
+    "net.omc_msgs", "net.vd_llc_msgs", "net.llc_vd_msgs",
+    "net.forwarded_msgs", "net.c2c_msgs",
+    "l2.downgrades", "cst.load_downgrades",
+    "dram.reads", "dram.read_bytes",
+    "dram.writes", "dram.write_bytes",
+    "walker.sets_scanned", "walker.tags_scanned",
+    "walker.passes",
+)
+(
+    L1_ACCESSES, L1_LOAD_HITS, L1_LOAD_MISSES,
+    L1_STORE_HITS, L1_STORE_MISSES, L1_STORE_UPGRADES,
+    L1_DIRTY_EVICTIONS, L1_EVICTIONS,
+    L2_ACCESSES, L2_HITS, L2_MISSES,
+    L2_DIRTY_EVICTIONS, L2_EVICTIONS,
+    LLC_DIRTY_EVICTIONS, LLC_EVICTIONS,
+    STORES, CST_STORE_EVICTIONS, CST_VERSION_WRITEBACKS,
+    NET_OMC_MSGS, NET_VD_LLC_MSGS, NET_LLC_VD_MSGS,
+    NET_FORWARDED_MSGS, NET_C2C_MSGS,
+    L2_DOWNGRADES, CST_LOAD_DOWNGRADES,
+    DRAM_READS, DRAM_READ_BYTES,
+    DRAM_WRITES, DRAM_WRITE_BYTES,
+    WALKER_SETS_SCANNED, WALKER_TAGS_SCANNED,
+    WALKER_PASSES,
+) = range(len(COUNTER_NAMES))
 
 
 class FastPath(NamedTuple):
@@ -108,7 +159,7 @@ def in_envelope(machine) -> bool:
 def build(machine) -> Optional[FastPath]:
     """The fast path's functions for one run of ``machine``, or None.
 
-    Every counter bumped inline lands in a local dict that ``flush``
+    Every counter bumped inline lands in a local list that ``flush``
     adds into ``Stats`` once at the end — legal because fingerprints
     hash the *final* counter values, never intermediate ones, and no
     scheme or oracle hook reads a counter mid-run.  Cold corners and scheme hooks
@@ -174,36 +225,24 @@ def build(machine) -> Optional[FastPath]:
     store_log = h.store_log
     M, E, S, I_STATE, O = MESI.M, MESI.E, MESI.S, MESI.I, MESI.O
 
-    dir_key = h._llc_dir_access_key
-    fill_key = h._llc_fill_key
-    hit_key = h._llc_hit_key
-    miss_key = h._llc_miss_key
+    # -- flat local counters: one list slot per name -------------------
+    # The fixed names, then the two evict reasons ``omc_writeback``
+    # counts, then the per-slice LLC keys of this geometry.
     reason_key = h._evict_reason_key
-
-    # -- flat local counter accumulation -------------------------------
-    c: Dict[str, int] = dict.fromkeys(
-        (
-            "l1.accesses", "l1.load_hits", "l1.load_misses",
-            "l1.store_hits", "l1.store_misses", "l1.store_upgrades",
-            "l1.dirty_evictions", "l1.evictions",
-            "l2.accesses", "l2.hits", "l2.misses",
-            "l2.dirty_evictions", "l2.evictions",
-            "llc.dirty_evictions", "llc.evictions",
-            "stores", "cst.store_evictions", "cst.version_writebacks",
-            "net.omc_msgs", "net.vd_llc_msgs", "net.llc_vd_msgs",
-            "net.forwarded_msgs", "net.c2c_msgs",
-            "l2.downgrades", "cst.load_downgrades",
-            "dram.reads", "dram.read_bytes",
-            "dram.writes", "dram.write_bytes",
-            "walker.sets_scanned", "walker.tags_scanned",
-            "walker.passes",
-            reason_key[REASON_CAPACITY], reason_key[REASON_STORE_EVICT],
-        ),
-        0,
+    names = COUNTER_NAMES + (
+        reason_key[REASON_CAPACITY], reason_key[REASON_STORE_EVICT]
     )
-    for keys in (dir_key, fill_key, hit_key, miss_key):
-        for key in keys:
-            c[key] = 0
+    reason_slot = {
+        REASON_CAPACITY: len(COUNTER_NAMES),
+        REASON_STORE_EVICT: len(COUNTER_NAMES) + 1,
+    }
+    slice_slots = []
+    for keys in (h._llc_dir_access_key, h._llc_fill_key, h._llc_hit_key,
+                 h._llc_miss_key):
+        slice_slots.append(list(range(len(names), len(names) + len(keys))))
+        names += tuple(keys)
+    dir_slot, fill_slot, hit_slot, miss_slot = slice_slots
+    c = [0] * len(names)
 
     # -- fused protocol transitions (mirror hierarchy.py exactly) ------
     # Hierarchy._install_l2 / _inter_gets / _inter_getx are hand-inlined
@@ -226,8 +265,7 @@ def build(machine) -> Optional[FastPath]:
             dram_last[ctrl] = t
         latency = dram_backlog[ctrl] + dram_latency
         dram_backlog[ctrl] += dram_occ
-        c["dram.reads"] += 1
-        c["dram.read_bytes"] += line_bytes
+        c[DRAM_READS] += 1
         return latency
 
     def dram_writeback(line, data, oid, t):
@@ -240,8 +278,7 @@ def build(machine) -> Optional[FastPath]:
             dram_backlog[ctrl] = drained if drained > 0 else 0
             dram_last[ctrl] = t
         dram_backlog[ctrl] += dram_occ
-        c["dram.writes"] += 1
-        c["dram.write_bytes"] += line_bytes
+        c[DRAM_WRITES] += 1
         current = mem_lines.get(line)
         if current is None or oid >= current[1]:
             mem_lines[line] = (data, oid)
@@ -250,7 +287,7 @@ def build(machine) -> Optional[FastPath]:
         # Hierarchy._llc_insert, with _evict_llc_victim.
         slice_id = line % num_slices
         latency = llc_latency
-        c[fill_key[slice_id]] += 1
+        c[fill_slot[slice_id]] += 1
         llc_set = llc_sets[slice_id][line % llc_num_sets]
         existing = llc_set.get(line)
         if existing is not None:
@@ -261,14 +298,14 @@ def build(machine) -> Optional[FastPath]:
             victim = llc_set[next(iter(llc_set))]
             vline = victim.line
             if victim.state >= M:
-                c["llc.dirty_evictions"] += 1
+                c[LLC_DIRTY_EVICTIONS] += 1
                 dram_writeback(vline, victim.data, victim.oid, now)
                 if on_llc_dirty_eviction is not None:
                     latency += on_llc_dirty_eviction(
                         vline, victim.oid, victim.data, now
                     )
             del llc_set[vline]
-            c["llc.evictions"] += 1
+            c[LLC_EVICTIONS] += 1
             vshard = dir_shards[slice_id]
             ventry = vshard.get(vline)
             if ventry is not None and ventry.owner is None and not ventry.sharers:
@@ -280,9 +317,9 @@ def build(machine) -> Optional[FastPath]:
     def omc_writeback(vd, line, data, oid, reason, now):
         # Hierarchy._version_writeback without its LLC insert, which the
         # one caller that wants it (evict_l2_entry) makes itself.
-        c["net.omc_msgs"] += 1
-        c["cst.version_writebacks"] += 1
-        c[reason_key[reason]] += 1
+        c[NET_OMC_MSGS] += 1
+        c[CST_VERSION_WRITEBACKS] += 1
+        c[reason_slot[reason]] += 1
         latency = hop + on_version_writeback(vd.id, line, oid, data, reason, now)
         if oracle_on_writeback is not None:
             oracle_on_writeback(vd, line, oid, reason, now)
@@ -334,7 +371,7 @@ def build(machine) -> Optional[FastPath]:
         if entry is not None:
             assert not entry.state >= M, "sharer VD holds dirty data"
             del l2_set[line]
-        c["net.llc_vd_msgs"] += 1
+        c[NET_LLC_VD_MSGS] += 1
         return hop
 
     def upgrade(vd, core_id, line, now):
@@ -353,9 +390,9 @@ def build(machine) -> Optional[FastPath]:
             dentry is not None and dentry.sharers - {vd_id}
         ):
             # Claim ownership; the data is already present locally.
-            c["net.vd_llc_msgs"] += 1
+            c[NET_VD_LLC_MSGS] += 1
             latency = hop + llc_latency
-            c[dir_key[slice_id]] += 1
+            c[dir_slot[slice_id]] += 1
             if dentry is None:
                 dentry = DirEntry()
                 shard[line] = dentry
@@ -403,13 +440,13 @@ def build(machine) -> Optional[FastPath]:
                 peer.state = S
         if entry.state >= M:
             if versioned:
-                c["cst.load_downgrades"] += 1
+                c[CST_LOAD_DOWNGRADES] += 1
                 version_writeback(
                     owner, line, entry.data, entry.oid, REASON_COHERENCE,
                     to_llc=True, now=now,
                 )
             else:
-                c["l2.downgrades"] += 1
+                c[L2_DOWNGRADES] += 1
                 llc_insert(line, entry.data, entry.oid, True, now)
                 scheme.on_l2_dirty_eviction(
                     owner_id, line, entry.oid, entry.data, REASON_COHERENCE, now
@@ -433,7 +470,7 @@ def build(machine) -> Optional[FastPath]:
         assert entry is not None
         dirty = entry.state >= M
         if dirty:
-            c["l2.dirty_evictions"] += 1
+            c[L2_DIRTY_EVICTIONS] += 1
         if dirty and versioned:
             # This caller keeps the write-back latency, and the line
             # lands dirty in the LLC.
@@ -446,7 +483,7 @@ def build(machine) -> Optional[FastPath]:
                 vd.id, line, entry.oid, entry.data, REASON_CAPACITY, now
             )
         del l2_set[line]
-        c["l2.evictions"] += 1
+        c[L2_EVICTIONS] += 1
         dentry = dir_shards[line % num_slices].get(line)
         if dentry is not None:
             dentry.sharers.discard(vd.id)
@@ -456,7 +493,6 @@ def build(machine) -> Optional[FastPath]:
 
     def vd_fill(vd, core_id, line, for_store, now):
         latency = l2_latency
-        c["l2.accesses"] += 1
         vd_id = vd.id
         l2_cache_set = vd_l2_sets[vd_id][line % l2_num_sets]
         l2_entry = l2_cache_set.get(line)
@@ -470,7 +506,7 @@ def build(machine) -> Optional[FastPath]:
         vd_shares = dentry is not None and vd_id in dentry.sharers
 
         if l2_entry is not None and (vd_owns or vd_shares):
-            c["l2.hits"] += 1
+            c[L2_HITS] += 1
             l1_index = line % l1_num_sets
             peer = None
             for core in vd.core_ids:
@@ -506,7 +542,7 @@ def build(machine) -> Optional[FastPath]:
                 state = E if exclusive else S
             return latency, l2_entry.data, l2_entry.oid, state
 
-        c["l2.misses"] += 1
+        c[L2_MISSES] += 1
         # Hierarchy._inter_gets / _inter_getx, inlined.  ``rnow`` is the
         # request submission time, ``nl`` the accumulated network
         # latency; absolute event times are ``rnow + nl`` exactly as
@@ -515,9 +551,9 @@ def build(machine) -> Optional[FastPath]:
         # this line's entry (the VD-side calls operate on *other*
         # VDs' caches and the victim lines differ by construction).
         rnow = now + latency
-        c["net.vd_llc_msgs"] += 1
+        c[NET_VD_LLC_MSGS] += 1
         nl = hop + llc_latency
-        c[dir_key[slice_id]] += 1
+        c[dir_slot[slice_id]] += 1
         if dentry is None:
             dentry = DirEntry()
             shard[line] = dentry
@@ -528,12 +564,12 @@ def build(machine) -> Optional[FastPath]:
             owner_id = dentry.owner
             if owner_id is not None and owner_id != vd_id:
                 owner = vds[owner_id]
-                c["net.forwarded_msgs"] += 1
+                c[NET_FORWARDED_MSGS] += 1
                 nl += 2 * hop
                 transfer = h._invalidate_owner_for_getx(owner, line, rnow + nl)
                 if transfer is not None:
                     data, oid, dirty = transfer
-                    c["net.c2c_msgs"] += 1
+                    c[NET_C2C_MSGS] += 1
                     nl += hop
                     if dirty and versioned:
                         on_version_migrate(owner_id, vd_id, line, oid, rnow)
@@ -547,7 +583,7 @@ def build(machine) -> Optional[FastPath]:
                 if llc_entry is not None:
                     del llc_set[line]
                     llc_set[line] = llc_entry
-                    c[hit_key[slice_id]] += 1
+                    c[hit_slot[slice_id]] += 1
                     data, oid = llc_entry.data, llc_entry.oid
                     if llc_entry.state >= M and not versioned:
                         # The dirty obligation travels up: install in M.
@@ -559,7 +595,7 @@ def build(machine) -> Optional[FastPath]:
                     if versioned and mem_oid > oid:
                         data, oid = mem_data, mem_oid
                 else:
-                    c[miss_key[slice_id]] += 1
+                    c[miss_slot[slice_id]] += 1
                     data, oid = mem_lines.get(line, (0, 0))
                     nl += dram_read(line, rnow + nl)
             dentry.owner = vd_id
@@ -571,7 +607,7 @@ def build(machine) -> Optional[FastPath]:
             owner_id = dentry.owner
             if owner_id is not None and owner_id != vd_id:
                 owner = vds[owner_id]
-                c["net.forwarded_msgs"] += 1
+                c[NET_FORWARDED_MSGS] += 1
                 nl += 2 * hop
                 data, oid = downgrade_owner(owner, line, rnow + nl)
                 # MESI only: the owner always drops to the sharer set.
@@ -584,7 +620,7 @@ def build(machine) -> Optional[FastPath]:
                 if llc_entry is not None:
                     del llc_set[line]
                     llc_set[line] = llc_entry
-                    c[hit_key[slice_id]] += 1
+                    c[hit_slot[slice_id]] += 1
                     if (
                         dentry.owner is None
                         and not dentry.sharers
@@ -598,7 +634,7 @@ def build(machine) -> Optional[FastPath]:
                     if versioned and mem_oid > oid:
                         data, oid = mem_data, mem_oid
                 else:
-                    c[miss_key[slice_id]] += 1
+                    c[miss_slot[slice_id]] += 1
                     data, oid = mem_lines.get(line, (0, 0))
                     nl += dram_read(line, rnow + nl)
                     if dentry.owner is None and not dentry.sharers:
@@ -637,10 +673,10 @@ def build(machine) -> Optional[FastPath]:
         if line not in cache_set and len(cache_set) >= l1_ways:
             victim = cache_set[next(iter(cache_set))]
             if victim.state >= M:
-                c["l1.dirty_evictions"] += 1
+                c[L1_DIRTY_EVICTIONS] += 1
                 l2_putx(vd, victim.line, victim.data, victim.oid, t)
             del cache_set[victim.line]
-            c["l1.evictions"] += 1
+            c[L1_EVICTIONS] += 1
             # Recycle the evicted CacheLine object: nothing outside
             # this set holds a reference to it.
             victim.line = line
@@ -662,34 +698,30 @@ def build(machine) -> Optional[FastPath]:
         cache_set = l1_sets[core_id][line % l1_num_sets]
         entry = cache_set.get(line)
         vd = core_vd[core_id]
+        latency = l1_latency
         if entry is not None and entry.state >= E:
             del cache_set[line]
             cache_set[line] = entry
-            c["l1.accesses"] += 1
-            c["l1.store_hits"] += 1
-            latency = l1_latency
-        else:
-            latency = l1_latency
-            c["l1.accesses"] += 1
-            if entry is None or entry.state == I_STATE:
-                c["l1.store_misses"] += 1
-                fill_latency, data, oid, _state = vd_fill(
-                    vd, core_id, line, True, now + latency
-                )
-                latency += fill_latency
-                # Store fills arrive Exclusive.
-                entry = l1_install(
-                    vd, cache_set, line, E, oid, data, now + latency
-                )
-            else:  # MESI.S
-                del cache_set[line]
-                cache_set[line] = entry
-                c["l1.store_upgrades"] += 1
-                latency += upgrade(vd, core_id, line, now + latency)
-                entry = cache_set.get(line)
-                assert entry is not None
-                del cache_set[line]  # lookup(touch=True)
-                cache_set[line] = entry
+            c[L1_STORE_HITS] += 1
+        elif entry is None or entry.state == I_STATE:
+            c[L1_STORE_MISSES] += 1
+            fill_latency, data, oid, _state = vd_fill(
+                vd, core_id, line, True, now + latency
+            )
+            latency += fill_latency
+            # Store fills arrive Exclusive.
+            entry = l1_install(
+                vd, cache_set, line, E, oid, data, now + latency
+            )
+        else:  # MESI.S
+            del cache_set[line]
+            cache_set[line] = entry
+            c[L1_STORE_UPGRADES] += 1
+            latency += upgrade(vd, core_id, line, now + latency)
+            entry = cache_set.get(line)
+            assert entry is not None
+            del cache_set[line]  # lookup(touch=True)
+            cache_set[line] = entry
         # -- commit_store --
         stall = (
             on_store(core_id, vd.id, line, entry.oid, now + latency)
@@ -699,7 +731,7 @@ def build(machine) -> Optional[FastPath]:
         epoch = vd.cur_epoch if versioned else 0
         if versioned and entry.oid != epoch and entry.state >= M:
             assert entry.oid < epoch, "version from the future survived sync"
-            c["cst.store_evictions"] += 1
+            c[CST_STORE_EVICTIONS] += 1
             l2_putx(vd, entry.line, entry.data, entry.oid, now + latency)
         token += 1
         entry.data = token
@@ -707,7 +739,6 @@ def build(machine) -> Optional[FastPath]:
         entry.state = M
         vd.store_count += 1
         vd.total_stores += 1
-        c["stores"] += 1
         if store_log is not None:
             store_log.append((entry.line, epoch, token, vd.id, core_id))
         if oracle_on_store is not None:
@@ -722,11 +753,9 @@ def build(machine) -> Optional[FastPath]:
         if entry is not None and entry.state:
             del cache_set[line]
             cache_set[line] = entry
-            c["l1.accesses"] += 1
-            c["l1.load_hits"] += 1
+            c[L1_LOAD_HITS] += 1
             return l1_latency
-        c["l1.accesses"] += 1
-        c["l1.load_misses"] += 1
+        c[L1_LOAD_MISSES] += 1
         latency = l1_latency
         vd = core_vd[core_id]
         fill_latency, data, oid, state = vd_fill(
@@ -807,9 +836,9 @@ def build(machine) -> Optional[FastPath]:
                             if oracle_on_walker_pass is not None:
                                 oracle_on_walker_pass(vd_id, 1, now)
                             update_min_ver(vd_id, 1, now, seq=st[3])
-                            c["walker.passes"] += 1
-                    c["walker.sets_scanned"] += max_sets
-                    c["walker.tags_scanned"] += tags_n
+                            c[WALKER_PASSES] += 1
+                    c[WALKER_SETS_SCANNED] += max_sets
+                    c[WALKER_TAGS_SCANNED] += tags_n
                 else:
                     for _ in range(max_sets):
                         budget -= ways
@@ -827,7 +856,7 @@ def build(machine) -> Optional[FastPath]:
                             if oracle_on_walker_pass is not None:
                                 oracle_on_walker_pass(vd_id, min_ver, now)
                             update_min_ver(vd_id, min_ver, now, seq=st[3])
-                            c["walker.passes"] += 1
+                            c[WALKER_PASSES] += 1
                 st[2] = cursor
             if budget > cap:
                 budget = cap
@@ -853,8 +882,15 @@ def build(machine) -> Optional[FastPath]:
             walker._cursor = st[2]
             walker._pass_seq = st[3]
             walker.passes_completed = st[4]
+        # The five totals no closure bumps (module docstring).
+        store_total = c[L1_STORE_HITS] + c[L1_STORE_MISSES] + c[L1_STORE_UPGRADES]
+        c[STORES] = store_total
+        c[L1_ACCESSES] = c[L1_LOAD_HITS] + c[L1_LOAD_MISSES] + store_total
+        c[L2_ACCESSES] = c[L2_HITS] + c[L2_MISSES]
+        c[DRAM_READ_BYTES] = line_bytes * c[DRAM_READS]
+        c[DRAM_WRITE_BYTES] = line_bytes * c[DRAM_WRITES]
         inc = stats.inc
-        for key, value in c.items():
+        for key, value in zip(names, c):
             if value:
                 inc(key, value)
 

@@ -16,18 +16,33 @@ so it does three jobs:
   breakdown falls straight out of the counters.
 * **Bandwidth time series** — bytes are bucketed by completion time for
   the Fig. 17 bandwidth-over-time plots.
+
+Both write paths run one frame, ``_write``, for all of it: it checks the
+category before a bank is charged (a rejected write leaves the device
+unchanged), queues the transfer, bumps the counters, counts wear pages
+into the device's ``WearTracker`` and buckets the bandwidth series.
 """
 
 from __future__ import annotations
 
 from .config import CACHE_LINE_SIZE, NVM_PROFILES, SystemConfig
 from .stats import Stats
-from .wear import WearTracker
+from .wear import LINE_PAGE_SHIFT, WearTracker
 
 #: Write categories: snapshot ``data``, undo-``log`` entries, mapping
 #: ``metadata``, core-``context`` dumps, and ``working``-memory
 #: write-backs (only when the working set itself lives on NVM).
 WRITE_CATEGORIES = ("data", "log", "metadata", "context", "working")
+
+
+def bank_of(line: int, num_banks: int) -> int:
+    """The bank a line maps to.
+
+    Real controllers hash address bits into the bank index so that
+    strided access patterns (e.g. 256 B-aligned tree nodes touching only
+    lines ≡ 0,1 mod 4) don't concentrate on a bank subset.
+    """
+    return (line ^ (line >> 4) ^ (line >> 9) ^ (line >> 15)) % num_banks
 
 
 class NVM:
@@ -62,7 +77,7 @@ class NVM:
         self._backlog = [0] * self.num_banks
         self._last = [0] * self.num_banks
         self.wear = WearTracker()
-        # Interned stat keys — _account runs on every NVM write.
+        # Interned stat keys — _write runs on every NVM write.
         self._category_keys = {
             cat: (f"{name}.writes.{cat}", f"{name}.bytes.{cat}")
             for cat in WRITE_CATEGORIES
@@ -76,34 +91,34 @@ class NVM:
         # Direct ref into the counter dict (Stats.reset clears in place).
         self._counters = stats._counters
 
-    # -- helpers ---------------------------------------------------------
-    def _bank_of(self, line: int) -> int:
-        # Real controllers hash address bits into the bank index so that
-        # strided access patterns (e.g. 256 B-aligned tree nodes touching
-        # only lines ≡ 0,1 mod 4) don't concentrate on a bank subset.
-        mixed = line ^ (line >> 4) ^ (line >> 9) ^ (line >> 15)
-        return mixed % self.num_banks
+    # -- write paths -----------------------------------------------------
+    def _write(
+        self, line: int, nbytes: int, now: int, category: str
+    ) -> tuple[int, int]:
+        """Queue and account one write; returns (queue_delay, completion).
 
-    def _occupy(self, line: int, nbytes: int, now: int) -> tuple[int, int]:
-        """Queue one transfer; returns (queue_delay, completion_time)."""
-        bank = self._bank_of(line)
-        if now > self._last[bank]:
-            drained = now - self._last[bank]
-            self._backlog[bank] = max(0, self._backlog[bank] - drained)
-            self._last[bank] = now
-        queue_delay = self._backlog[bank]
-        transfers = max(1, -(-nbytes // CACHE_LINE_SIZE))  # ceil-div
-        self._backlog[bank] += transfers * self.bank_occupancy
-        return queue_delay, now + queue_delay + self.write_latency
-
-    def _account(
-        self, line: int, category: str, nbytes: int, completion: int
-    ) -> None:
+        The category is checked before the bank is charged, so a rejected
+        write leaves the device as it found it.
+        """
         try:
             writes_key, bytes_key = self._category_keys[category]
         except KeyError:
             raise ValueError(f"unknown NVM write category {category!r}") from None
-        self.wear.record(line, nbytes)
+        # Timing: drain the bank's backlog to ``now``, queue behind it.
+        bank = bank_of(line, self.num_banks)
+        backlog = self._backlog
+        last = self._last[bank]
+        if now > last:
+            drained = backlog[bank] - (now - last)
+            backlog[bank] = drained if drained > 0 else 0
+            self._last[bank] = now
+        queue_delay = backlog[bank]
+        lines = -(-nbytes // CACHE_LINE_SIZE)  # ceil-div, at least one
+        if lines < 1:
+            lines = 1
+        backlog[bank] = queue_delay + lines * self.bank_occupancy
+        completion = now + queue_delay + self.write_latency
+        # Counters, by category and in total.
         counters = self._counters
         try:
             counters[writes_key] += 1
@@ -117,22 +132,34 @@ class NVM:
             counters[self._bytes_total_key] += nbytes
         except KeyError:
             self.stats.inc(self._bytes_total_key, nbytes)
+        # Wear: one count per line, on the page holding it.
+        wear = self.wear
+        wear.total_line_writes += lines
+        pages = wear._page_writes
+        page = line >> LINE_PAGE_SHIFT
+        if (line + lines - 1) >> LINE_PAGE_SHIFT == page:
+            pages[page] += lines
+        else:
+            for written in range(line, line + lines):
+                pages[written >> LINE_PAGE_SHIFT] += 1
+        # Bandwidth, bucketed by completion time.
         self.stats.record_series(
             self._bandwidth_key, completion, nbytes, self.bandwidth_bucket
         )
+        return queue_delay, completion
 
-    # -- write paths -----------------------------------------------------
     def write_sync(self, line: int, nbytes: int, now: int, category: str) -> int:
         """Persistence-barrier write: caller stalls until durable."""
-        queue_delay, completion = self._occupy(line, nbytes, now)
-        self._account(line, category, nbytes, completion)
-        self.stats.inc(self._sync_writes_key)
+        _queue_delay, completion = self._write(line, nbytes, now, category)
+        try:
+            self._counters[self._sync_writes_key] += 1
+        except KeyError:
+            self.stats.inc(self._sync_writes_key)
         return completion - now
 
     def write_background(self, line: int, nbytes: int, now: int, category: str) -> int:
         """Background write: stalls the caller only on queue back-pressure."""
-        queue_delay, completion = self._occupy(line, nbytes, now)
-        self._account(line, category, nbytes, completion)
+        queue_delay, _completion = self._write(line, nbytes, now, category)
         if queue_delay > self.backpressure:
             stall = queue_delay - self.backpressure
             self.stats.inc(self._bp_stalls_key)
@@ -142,7 +169,7 @@ class NVM:
 
     def read(self, line: int, now: int) -> int:
         """Read one line (recovery / time-travel / working data on NVM)."""
-        bank = self._bank_of(line)
+        bank = bank_of(line, self.num_banks)
         if now > self._last[bank]:
             drained = now - self._last[bank]
             self._backlog[bank] = max(0, self._backlog[bank] - drained)

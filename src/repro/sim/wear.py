@@ -10,7 +10,9 @@ ages *those* pages faster still.
 them into the numbers a device architect asks for: total writes, the
 hottest page, the imbalance between the hottest page and the mean, and
 an estimated device lifetime given a per-cell endurance budget and a
-write rate.  The NVM device feeds it every write automatically.
+write rate.  The NVM device counts every write into it as part of its
+one write frame (``NVM._write``); the tracker holds the counts and
+summarizes them.
 """
 
 from __future__ import annotations
@@ -19,9 +21,11 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from .config import CACHE_LINE_SIZE, PAGE_SHIFT, CACHE_LINE_SHIFT
+from .config import PAGE_SHIFT, CACHE_LINE_SHIFT
 
-LINES_PER_PAGE = 1 << (PAGE_SHIFT - CACHE_LINE_SHIFT)
+#: A line number shifted right by this is its page number.
+LINE_PAGE_SHIFT = PAGE_SHIFT - CACHE_LINE_SHIFT
+LINES_PER_PAGE = 1 << LINE_PAGE_SHIFT
 
 
 @dataclass(frozen=True)
@@ -55,16 +59,10 @@ class WearTracker:
     """Per-page write counters with a cheap summary."""
 
     def __init__(self) -> None:
+        #: page -> line writes, in first-write order.  ``NVM._write``
+        #: adds one per line it writes.
         self._page_writes: Dict[int, int] = defaultdict(int)
         self.total_line_writes = 0
-
-    def record(self, line: int, nbytes: int) -> None:
-        """Account one write of ``nbytes`` starting at ``line``."""
-        lines = max(1, -(-nbytes // CACHE_LINE_SIZE))
-        self.total_line_writes += lines
-        for i in range(lines):
-            page = (line + i) >> (PAGE_SHIFT - CACHE_LINE_SHIFT)
-            self._page_writes[page] += 1
 
     def page_writes(self, page: int) -> int:
         return self._page_writes.get(page, 0)

@@ -1,8 +1,13 @@
 """Tests for the DRAM and NVM device timing models."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim import DRAM, NVM, Stats, SystemConfig
+from repro.sim.config import CACHE_LINE_SHIFT, CACHE_LINE_SIZE, PAGE_SHIFT
+from repro.sim.nvm import WRITE_CATEGORIES, bank_of
+from repro.sim.wear import LINES_PER_PAGE
 
 
 def make_nvm(**overrides):
@@ -35,6 +40,12 @@ class TestNVMTiming:
         assert late_stall == 0
         assert early_stall > 0
 
+    def test_backlog_drains_one_cycle_per_cycle(self):
+        nvm = make_nvm()
+        nvm.write_background(0, 64, 0, "data")
+        almost_drained = nvm.bank_occupancy - 1
+        assert nvm.write_sync(0, 64, almost_drained, "data") == 1 + nvm.write_latency
+
     def test_laggard_writer_does_not_see_future_reservations(self):
         """Skew tolerance: a write stamped in the past only queues behind
         outstanding *work*, never behind a run-ahead core's timestamps."""
@@ -49,7 +60,10 @@ class TestNVMTiming:
             nvm.write_background(0, 64, 0, "data")
         hot = nvm.write_background(0, 64, 0, "data")
         # find a line mapping to another bank
-        other = next(l for l in range(1, 64) if nvm._bank_of(l) != nvm._bank_of(0))
+        other = next(
+            l for l in range(1, 64)
+            if bank_of(l, nvm.num_banks) != bank_of(0, nvm.num_banks)
+        )
         cold = nvm.write_background(other, 64, 0, "data")
         assert cold < hot
 
@@ -70,7 +84,7 @@ class TestNVMTiming:
         nvm = make_nvm()
         # 256-byte-aligned structures touch lines = 0 (mod 4); the hash
         # must still spread them over most banks.
-        banks = {nvm._bank_of(line) for line in range(0, 4096, 4)}
+        banks = {bank_of(line, nvm.num_banks) for line in range(0, 4096, 4)}
         assert len(banks) >= nvm.num_banks // 2
 
 
@@ -89,6 +103,31 @@ class TestNVMAccounting:
         with pytest.raises(ValueError):
             make_nvm().write_background(0, 64, 0, "bogus")
 
+    def test_rejected_write_leaves_the_device_unchanged(self):
+        """The category is checked before the bank is charged: a
+        rejected write queues nothing, counts nothing, and the next
+        write costs what it costs on a fresh device."""
+        nvm = make_nvm()
+        fresh = make_nvm()
+        for write in (nvm.write_background, nvm.write_sync):
+            with pytest.raises(ValueError):
+                write(0, 64, 100, "bogus")
+        assert nvm._backlog == fresh._backlog
+        assert nvm._last == fresh._last
+        assert nvm.wear.total_line_writes == 0
+        assert nvm.wear.hottest_pages() == []
+        assert nvm.stats.counters() == {}
+        assert not nvm.stats._series
+        assert nvm.write_sync(0, 64, 100, "data") == nvm.write_latency
+        assert fresh.write_sync(0, 64, 100, "data") == nvm.write_latency
+
+    def test_a_device_that_never_writes_records_no_series(self):
+        nvm = make_nvm()
+        nvm.read(0, 0)
+        nvm.quiesce(10)
+        assert nvm.bandwidth_series() == []
+        assert not nvm.stats._series
+
     def test_bandwidth_series_records_completions(self):
         nvm = make_nvm()
         nvm.write_background(0, 64, 0, "data")
@@ -96,6 +135,126 @@ class TestNVMAccounting:
         series = nvm.bandwidth_series()
         assert len(series) == 2
         assert all(value == 64 for _, value in series)
+
+
+# -- the fused write path equals the step-by-step device ----------------------
+
+def _reference_occupy(nvm, line, nbytes, now):
+    """Queue one transfer on ``nvm``'s banks; (queue_delay, completion)."""
+    bank = (line ^ (line >> 4) ^ (line >> 9) ^ (line >> 15)) % nvm.num_banks
+    if now > nvm._last[bank]:
+        drained = now - nvm._last[bank]
+        nvm._backlog[bank] = max(0, nvm._backlog[bank] - drained)
+        nvm._last[bank] = now
+    queue_delay = nvm._backlog[bank]
+    transfers = max(1, -(-nbytes // CACHE_LINE_SIZE))
+    nvm._backlog[bank] += transfers * nvm.bank_occupancy
+    return queue_delay, now + queue_delay + nvm.write_latency
+
+
+def _reference_wear(tracker, line, nbytes):
+    """One count per line written, on the page holding the line."""
+    lines = max(1, -(-nbytes // CACHE_LINE_SIZE))
+    tracker.total_line_writes += lines
+    for i in range(lines):
+        tracker._page_writes[(line + i) >> (PAGE_SHIFT - CACHE_LINE_SHIFT)] += 1
+
+
+def _reference_account(nvm, line, category, nbytes, completion):
+    if category not in WRITE_CATEGORIES:
+        raise ValueError(category)
+    _reference_wear(nvm.wear, line, nbytes)
+    stats = nvm.stats
+    stats.inc(f"{nvm.name}.writes.{category}")
+    stats.inc(f"{nvm.name}.bytes.{category}", nbytes)
+    stats.inc(f"{nvm.name}.bytes.total", nbytes)
+    stats.record_series(
+        f"{nvm.name}.bandwidth", completion, nbytes, nvm.bandwidth_bucket
+    )
+
+
+def reference_write(nvm, sync, line, nbytes, now, category):
+    """The step-by-step write the fused ``NVM._write`` must reproduce:
+    queue the transfer, then account it (wear, counters, series), then
+    the sync count or the back-pressure stall.  Drives ``nvm``'s own
+    timing state, ``Stats`` and ``WearTracker``."""
+    queue_delay, completion = _reference_occupy(nvm, line, nbytes, now)
+    _reference_account(nvm, line, category, nbytes, completion)
+    if sync:
+        nvm.stats.inc(f"{nvm.name}.sync_writes")
+        return completion - now
+    if queue_delay > nvm.backpressure:
+        stall = queue_delay - nvm.backpressure
+        nvm.stats.inc(f"{nvm.name}.backpressure_stalls")
+        nvm.stats.inc(f"{nvm.name}.backpressure_cycles", stall)
+        return stall
+    return 0
+
+
+def _device_state(nvm):
+    stats = nvm.stats
+    return (
+        nvm._backlog,
+        nvm._last,
+        list(nvm.wear._page_writes.items()),
+        nvm.wear.total_line_writes,
+        list(stats.counters().items()),
+        {name: dict(data) for name, data in stats._series.items()},
+        stats._series_bucket,
+    )
+
+
+#: A line near a page boundary, so multi-line writes cross it.
+_lines = st.one_of(
+    st.integers(0, 3 * LINES_PER_PAGE),
+    st.integers(1, 1 << 20).map(lambda page: page * LINES_PER_PAGE - 1),
+    st.integers(0, 1 << 40),
+)
+_sizes = st.one_of(st.sampled_from([8, 24, 64, 72, 4096]), st.integers(1, 4096))
+#: Mostly close together, so backlogs drain to exact boundaries.
+_times = st.one_of(st.integers(0, 400), st.integers(0, 20_000))
+_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("write"), st.booleans(), _lines, _sizes, _times,
+                  st.sampled_from(WRITE_CATEGORIES)),
+        st.tuples(st.just("quiesce"), _times),
+    ),
+    max_size=60,
+)
+
+
+class TestFusedWrite:
+    @pytest.mark.parametrize("profile", ["local", "cxl"])
+    @settings(max_examples=150, deadline=None)
+    @given(ops=_ops, banks=st.sampled_from([1, 16]),
+           backpressure=st.sampled_from([0, 50, 10_000]),
+           bucket=st.sampled_from([100, 50_000]))
+    def test_fused_write_equals_the_step_by_step_device(
+        self, profile, ops, banks, backpressure, bucket
+    ):
+        """Random sequences of sync and background writes, of every
+        size and category, at times that jump forward and back (as
+        skewed cores issue them), with quiesces in between."""
+        config = dict(nvm_profile=profile, nvm_banks=banks,
+                      nvm_backpressure_cycles=backpressure,
+                      nvm_bandwidth_bucket=bucket)
+        fused = make_nvm(**config)
+        reference = make_nvm(**config)
+        for op in ops:
+            if op[0] == "quiesce":
+                fused.quiesce(op[1])
+                reference.quiesce(op[1])
+                continue
+            _, sync, line, nbytes, now, category = op
+            write = fused.write_sync if sync else fused.write_background
+            assert write(line, nbytes, now, category) == reference_write(
+                reference, sync, line, nbytes, now, category
+            )
+        assert _device_state(fused) == _device_state(reference)
+        assert fused.wear.report() == reference.wear.report()
+        assert fused.bandwidth_series() == reference.bandwidth_series()
+        if not any(op[0] == "write" for op in ops):
+            assert not fused.stats._series
 
 
 class TestDRAM:

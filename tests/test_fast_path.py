@@ -379,6 +379,53 @@ def test_record_text_is_independent_of_the_path(monkeypatch):
     assert json.dumps(fast) == json.dumps(reference)
 
 
+# -- the totals the fast path derives ----------------------------------------
+
+def _derived_counters(stats):
+    """(recorded, derived) for each total ``fastpath.flush`` derives."""
+    get = stats.get
+    store_parts = (
+        get("l1.store_hits") + get("l1.store_misses") + get("l1.store_upgrades")
+    )
+    return {
+        "l1.accesses": (get("l1.accesses"),
+                        get("l1.load_hits") + get("l1.load_misses") + store_parts),
+        "stores": (get("stores"), store_parts),
+        "l2.accesses": (get("l2.accesses"), get("l2.hits") + get("l2.misses")),
+        "dram.read_bytes": (get("dram.read_bytes"), 64 * get("dram.reads")),
+        "dram.write_bytes": (get("dram.write_bytes"), 64 * get("dram.writes")),
+    }
+
+
+@pytest.mark.parametrize("scheme,config", [
+    (scheme, SystemConfig()) for scheme in SCHEMES
+] + [("nvoverlay", SystemConfig.scaled(64, batch_epoch_sync=True))],
+    ids=[f"{scheme}-default" for scheme in SCHEMES] + ["nvoverlay-64c-batched"])
+def test_derived_counter_identities(scheme, config):
+    """The fast path bumps none of five totals and derives them from
+    their parts at the end of the run.  The reference path bumps each
+    one where it happens, so on both paths each total must equal its
+    parts; a bump site added to one path only fails here.  intruder
+    makes the store upgrades and L2 hits, uniform the DRAM write-backs."""
+    exercised = dict.fromkeys(("l1.store_upgrades", "l2.hits", "dram.writes"), 0)
+    for workload, scale in (("intruder", 0.05), ("uniform", 0.1)):
+        for reference in (False, True):
+            with pytest.MonkeyPatch.context() as patch:
+                if reference:
+                    _reference_path(patch)
+                machine = Machine(config, scheme=make_scheme(scheme))
+                machine.run(_workload(workload, cores=config.num_cores,
+                                      scale=scale))
+            assert machine.fast_path is not reference
+            for name in exercised:
+                exercised[name] += machine.stats.get(name)
+            for name, (recorded, derived) in _derived_counters(
+                machine.stats
+            ).items():
+                assert recorded == derived, (workload, reference, name)
+    assert all(exercised.values()), exercised
+
+
 # -- the checkers see the same run on both paths ------------------------------
 
 def _recording_build(monkeypatch, reference):

@@ -6,7 +6,18 @@ from repro.sim import NVM, Stats, SystemConfig
 from repro.sim.wear import LINES_PER_PAGE, WearTracker
 
 
+def _device():
+    return NVM(SystemConfig(), Stats())
+
+
+def _write(nvm, line, nbytes):
+    """One background write; its back-pressure stall does not matter."""
+    nvm.write_background(line, nbytes, 0, "data")
+
+
 class TestWearTracker:
+    """The tracker's counts and summaries, fed through the device."""
+
     def test_empty_report(self):
         report = WearTracker().report()
         assert report.total_line_writes == 0
@@ -14,53 +25,60 @@ class TestWearTracker:
         assert report.imbalance == 1.0
 
     def test_single_page_counting(self):
-        tracker = WearTracker()
+        nvm = _device()
         for _ in range(5):
-            tracker.record(line=3, nbytes=64)
-        assert tracker.page_writes(0) == 5
-        assert tracker.total_line_writes == 5
+            _write(nvm, line=3, nbytes=64)
+        assert nvm.wear.page_writes(0) == 5
+        assert nvm.wear.total_line_writes == 5
 
     def test_multi_line_write_spans_lines(self):
-        tracker = WearTracker()
-        tracker.record(line=0, nbytes=256)  # 4 lines
-        assert tracker.total_line_writes == 4
+        nvm = _device()
+        _write(nvm, line=0, nbytes=256)  # 4 lines
+        assert nvm.wear.total_line_writes == 4
+        assert nvm.wear.page_writes(0) == 4
+
+    def test_write_across_a_page_boundary_counts_both_pages(self):
+        nvm = _device()
+        _write(nvm, line=LINES_PER_PAGE - 1, nbytes=128)  # 2 lines, 2 pages
+        assert nvm.wear.total_line_writes == 2
+        assert nvm.wear.hottest_pages() == [(0, 1), (1, 1)]
 
     def test_small_write_counts_one_line(self):
-        tracker = WearTracker()
-        tracker.record(line=0, nbytes=8)
-        assert tracker.total_line_writes == 1
+        nvm = _device()
+        _write(nvm, line=0, nbytes=8)
+        assert nvm.wear.total_line_writes == 1
 
     def test_imbalance_detects_hot_page(self):
-        tracker = WearTracker()
+        nvm = _device()
         for _ in range(90):
-            tracker.record(line=0, nbytes=64)  # page 0, hot
+            _write(nvm, line=0, nbytes=64)  # page 0, hot
         for page in range(1, 10):
-            tracker.record(line=page * LINES_PER_PAGE, nbytes=64)
-        report = tracker.report()
+            _write(nvm, line=page * LINES_PER_PAGE, nbytes=64)
+        report = nvm.wear.report()
         assert report.pages_touched == 10
         assert report.max_page_writes == 90
         assert report.imbalance > 5.0
         assert report.hot1pct_share > 0.5
 
     def test_even_wear_has_unit_imbalance(self):
-        tracker = WearTracker()
+        nvm = _device()
         for page in range(16):
-            tracker.record(line=page * LINES_PER_PAGE, nbytes=64)
-        assert tracker.report().imbalance == pytest.approx(1.0)
+            _write(nvm, line=page * LINES_PER_PAGE, nbytes=64)
+        assert nvm.wear.report().imbalance == pytest.approx(1.0)
 
     def test_hottest_pages_ranking(self):
-        tracker = WearTracker()
-        tracker.record(0, 64)
+        nvm = _device()
+        _write(nvm, 0, 64)
         for _ in range(3):
-            tracker.record(LINES_PER_PAGE, 64)
-        top = tracker.hottest_pages(1)
+            _write(nvm, LINES_PER_PAGE, 64)
+        top = nvm.wear.hottest_pages(1)
         assert top == [(1, 3)]
 
     def test_lifetime_estimate(self):
-        tracker = WearTracker()
+        nvm = _device()
         for _ in range(LINES_PER_PAGE * 10):
-            tracker.record(0, 64)
-        report = tracker.report()
+            _write(nvm, 0, 64)
+        report = nvm.wear.report()
         assert report.estimated_lifetime_fraction(100) == pytest.approx(0.9)
         with pytest.raises(ValueError):
             report.estimated_lifetime_fraction(0)
