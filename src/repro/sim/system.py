@@ -8,12 +8,10 @@ This yields a deterministic interleaving that still lets fast threads run
 ahead the way real cores do, which matters for the distributed-epoch
 experiments (VDs genuinely skew when their threads progress unevenly).
 
-Each run takes its per-access function (and NVOverlay's walker poll)
-from ``fastpath.build``: every scheme on a single-socket MESI directory
-machine with DRAM working memory runs hand-inlined transitions, with or
-without a protocol oracle or fault injector attached; every other
-machine runs the ``Hierarchy`` methods.  Both paths produce
-bit-identical results.
+Each run takes its per-access function from ``fastpath.build``, the
+one access path for every machine and scheme, armed with a protocol
+oracle or fault injector or not.  Under stock NVOverlay the build also
+fuses the tag walkers' poll; every other scheme keeps its own ``poll``.
 """
 
 from __future__ import annotations
@@ -107,15 +105,13 @@ class Machine:
         #: Optional per-transaction-boundary callback ``hook(now)`` — the
         #: snapshot-serving reader scheduler (repro.serve) interleaves
         #: point-in-time reads through it.  Resolved to a local before
-        #: the run loop; None (the default) costs nothing.  On the fast
-        #: path the hook runs mid-run, before the fast path writes its
-        #: deferred ``Stats`` counters, the hierarchy's store token and
+        #: the run loop; None (the default) costs nothing.  The hook
+        #: runs mid-run, before the access path writes its deferred
+        #: ``Stats`` counters, the hierarchy's store token and
         #: the tag walkers' fields back (that happens when ``run``
         #: returns), so a hook must not read any of them; the serve
         #: scheduler reads none.
         self.txn_hook: Optional[Callable[[int], None]] = None
-        #: Whether the last ``run`` took the fast path (``fastpath``).
-        self.fast_path = False
         self.scheme.attach(self)
         if oracle is not None:
             oracle.bind(self)
@@ -149,7 +145,6 @@ class Machine:
         transactions = 0
         hierarchy = self.hierarchy
         scheme = self.scheme
-        execute_access = hierarchy.execute_access
         epoch_due = hierarchy.epoch_due
         vd_of_core = hierarchy.vd_of_core
         heappop = heapq.heappop
@@ -162,15 +157,12 @@ class Machine:
         poll_hook = scheme.poll
         if getattr(poll_hook, "__func__", None) is SnapshotScheme.poll:
             poll_hook = None
-        # The common case swaps in the hand-inlined transitions (and
-        # NVOverlay's fused walker poll); every other run keeps the
-        # Hierarchy methods.
+        # The access path, built for this run (and NVOverlay's fused
+        # walker poll, when the build fuses it).
         fast = fastpath.build(self)
-        self.fast_path = fast is not None
-        if fast is not None:
-            execute_access = fast.access
-            if fast.poll is not None:
-                poll_hook = fast.poll
+        execute_access = fast.access
+        if fast.poll is not None:
+            poll_hook = fast.poll
         # Transaction boundaries are quiescent points, so this is where
         # the oracle may run its full structural scans (epoch advances
         # fire mid-operation and are not safe scan points).
@@ -235,8 +227,7 @@ class Machine:
                 break
             heappush(ready, (clock, tid))
 
-        if fast is not None:
-            fast.flush()
+        fast.flush()
         end = max(clocks.values(), default=0)
         end = max(end, self._global_stall_until)
         scheme.finalize(end)

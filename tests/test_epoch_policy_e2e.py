@@ -46,26 +46,29 @@ class TestBurstyEpochs:
 class TestPiCLRelogging:
     def test_domain_exit_forces_relog(self):
         """A line that leaves the tracked domain mid-epoch is logged again
-        on its next write — PiCL-L2's extra log traffic (§VII-A)."""
-        scheme = PiCLL2()
-        machine = Machine(tiny_config(epoch_size_stores=1 << 30), scheme=scheme)
-        hierarchy = machine.hierarchy
+        on its next write — PiCL-L2's extra log traffic (§VII-A).  Stores
+        to five other lines of its L2 set push it out of the 4-way L2
+        through the capacity path; the same stores to the next set leave
+        it in place, and each filler is logged once either way."""
         line_addr = 0x4000
+        num_sets = tiny_config().l2_geometry.num_sets
 
-        class W:
-            num_threads = 1
+        def run(filler_set):
+            machine = Machine(tiny_config(epoch_size_stores=1 << 30),
+                              scheme=PiCLL2())
+            fillers = [
+                store(line_addr + 64 * (filler_set + num_sets * k))
+                for k in range(1, 6)
+            ]
+            machine.run(ScriptedWorkload(
+                [[[store(line_addr)], fillers, [store(line_addr)]]]
+            ))
+            return machine.stats
 
-            def access_batches(self, tid):
-                yield [store(line_addr)]
-                # Force the line out of the L2 domain.
-                vd = hierarchy.vds[0]
-                entry = vd.l2.lookup(line_addr >> 6, touch=False)
-                assert entry is not None
-                hierarchy._evict_l2_entry(vd, entry, "capacity", 0)
-                yield [store(line_addr)]  # same epoch: must re-log
-
-        machine.run(W())
-        assert machine.stats.get("nvm.writes.log") == 2
+        evicted, kept = run(filler_set=0), run(filler_set=1)
+        assert kept.get("nvm.writes.log") == 1 + 5
+        assert evicted.get("nvm.writes.log") == 2 + 5
+        assert evicted.get("l2.dirty_evictions") > kept.get("l2.dirty_evictions")
 
     def test_no_relog_without_domain_exit(self):
         scheme = PiCLL2()

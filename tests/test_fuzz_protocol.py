@@ -12,14 +12,13 @@ oracle-armed under nvoverlay and ideal on one of several geometries —
 * nvoverlay and ideal agree on every scheme-independent identity
   (store counts, per-line writer histograms, uncontested final writers).
 
-The armed runs of the single-socket geometries take ``Machine.run``'s
-fast path, the multi-socket ones the ``Hierarchy`` reference methods.
-A second sweep replays the seeds of the single-socket geometries under
-every registered scheme, plus a 64-core scaled machine under ideal,
-picl and nvoverlay, oracle-armed on the fast path and on the reference
-path (``fastpath.build`` patched to return ``None``), and the two must
-be bit-identical — the fuzzer covers both execution paths for every
-scheme.
+Every run takes ``Machine.run``'s one access path (``repro.sim.fastpath``).
+A second sweep replays the seeds of every geometry, plus a 64-core
+single-socket machine and four extension machines (MOESI, snoop
+transport, a directory small enough to back-invalidate, NVM working
+memory), oracle-armed on the access path and on the frozen reference
+model (``fastpath.build`` patched to ``tests/reference_hierarchy.py``'s
+``build``), and the two must be bit-identical.
 
 The seed budget defaults to ~200 spread evenly across the geometries;
 set ``REPRO_FUZZ_SEEDS`` to deepen it (e.g. ``REPRO_FUZZ_SEEDS=2000``
@@ -40,6 +39,8 @@ from repro.sim import Machine, SystemConfig, fastpath
 from repro.sim.trace import load, store
 from repro.sim.validate import validate_hierarchy
 from repro.workloads import Workload, freeze_workload
+
+from tests import reference_hierarchy
 
 #: (num_cores, cores_per_vd, num_sockets, batch_epoch_sync) — deliberately
 #: off the paper's 16-core/2-per-VD point: single-core VDs, 8-core VDs,
@@ -140,28 +141,55 @@ def test_fuzz_geometry(geometry_index):
         )
 
 
-#: The fast-path leg: (seed stripe, geometry, schemes).  The
-#: single-socket fuzz geometries keep their own seed stripes and replay
-#: every registered scheme; the 64-core scaled machine (this leg only)
-#: borrows the stripe of the 64-core multi-socket mesh and replays the
-#: trio perfbench's 64-core workload runs.
+#: The parity leg: (seed stripe, geometry, schemes, config overrides).
+#: Every fuzz geometry keeps its own seed stripe; the single-socket ones
+#: replay every registered scheme, the multi-socket meshes the trio
+#: perfbench's 64-core workload runs.  A 64-core single-socket machine
+#: and the four extension machines borrow stripes: MOESI and snoop on
+#: the 16 single-core VDs (the most inter-VD traffic), a directory of 8
+#: entries per slice (back-invalidating on nearly every fill) and NVM
+#: working memory on the 8-core two-socket mesh.
+TRIO = ("ideal", "picl", "nvoverlay")
 FAST_PATH_GEOMETRIES = [
-    (0, GEOMETRIES[0], tuple(SCHEMES)),
-    (2, GEOMETRIES[2], tuple(SCHEMES)),
-    (4, (64, 2, 1, True), ("ideal", "picl", "nvoverlay")),
+    (0, GEOMETRIES[0], tuple(SCHEMES), {}),
+    (1, GEOMETRIES[1], TRIO, {}),
+    (2, GEOMETRIES[2], tuple(SCHEMES), {}),
+    (3, GEOMETRIES[3], TRIO, {}),
+    (4, GEOMETRIES[4], TRIO, {}),
+    (4, (64, 2, 1, True), TRIO, {}),
+    (2, GEOMETRIES[2], TRIO + ("picl_l2",), {"coherence_protocol": "moesi"}),
+    (2, GEOMETRIES[2], TRIO, {"coherence_transport": "snoop"}),
+    (1, GEOMETRIES[1], TRIO, {"directory_entries_per_slice": 8}),
+    (1, GEOMETRIES[1], TRIO, {"working_memory": "nvm"}),
 ]
 
 
+#: How an override shows in a parity test id.
+OVERRIDE_IDS = {
+    "coherence_protocol": "{}",
+    "coherence_transport": "{}",
+    "directory_entries_per_slice": "dir{}",
+    "working_memory": "{}-working-memory",
+}
+
+
+def _parity_id(geometry, overrides):
+    cores, cores_per_vd, sockets, batch = geometry
+    name = f"{cores}c-{cores_per_vd}pv-{sockets}s{'-batched' if batch else ''}"
+    for key, value in overrides.items():
+        name += "-" + OVERRIDE_IDS[key].format(value)
+    return name
+
+
 @pytest.mark.parametrize(
-    "stripe,geometry,schemes", FAST_PATH_GEOMETRIES,
-    ids=[f"{c}c-{v}pv-{s}s{'-batched' if b else ''}"
-         for _, (c, v, s, b), _ in FAST_PATH_GEOMETRIES],
+    "stripe,geometry,schemes,overrides", FAST_PATH_GEOMETRIES,
+    ids=[_parity_id(g, o) for _, g, _, o in FAST_PATH_GEOMETRIES],
 )
-def test_fuzz_fast_path_parity(stripe, geometry, schemes):
-    """Every fuzz seed must be bit-identical on the fast path and the
-    reference path under every scheme: same cycles, per-thread cycles,
+def test_fuzz_fast_path_parity(stripe, geometry, schemes, overrides):
+    """Every fuzz seed must be bit-identical on the access path and the
+    reference model under every scheme: same cycles, per-thread cycles,
     counters, memory image, store log, NVM bandwidth series and oracle
-    event counts, with a clean structural check of the fast path's
+    event counts, with a clean structural check of the access path's
     hierarchy.  Both legs run oracle-armed."""
     cores, cores_per_vd, sockets, batch = geometry
     config = SystemConfig.scaled(
@@ -169,6 +197,7 @@ def test_fuzz_fast_path_parity(stripe, geometry, schemes):
         cores_per_vd=cores_per_vd,
         num_sockets=sockets,
         batch_epoch_sync=batch,
+        **overrides,
     )
     for seed in _seeds_for(stripe):
         frozen = freeze_workload(FuzzWorkload(cores, seed))
@@ -176,15 +205,15 @@ def test_fuzz_fast_path_parity(stripe, geometry, schemes):
             fast = Machine(config, scheme=make_scheme(name),
                            capture_store_log=True, oracle=ProtocolOracle())
             fast_result = fast.run(frozen)
-            assert fast.fast_path, f"seed {seed}: {name} left the fast path"
             validate_hierarchy(fast.hierarchy)
             with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(fastpath, "build", lambda machine: None)
+                patch.setattr(fastpath, "build", reference_hierarchy.build)
                 reference = Machine(config, scheme=make_scheme(name),
                                     capture_store_log=True,
                                     oracle=ProtocolOracle())
                 reference_result = reference.run(frozen)
-            assert not reference.fast_path
+            assert isinstance(reference.hierarchy,
+                              reference_hierarchy.ReferenceHierarchy)
             mismatch = {
                 field: (getattr(reference_result, field),
                         getattr(fast_result, field))
@@ -204,9 +233,23 @@ def test_fuzz_fast_path_parity(stripe, geometry, schemes):
             if reference.oracle.summary() != fast.oracle.summary():
                 mismatch["oracle"] = "diverged"
             assert not mismatch, (
-                f"seed {seed} ({cores}c): {name} diverged on the fast "
-                f"path from the reference path: {mismatch}"
+                f"seed {seed} ({cores}c {overrides}): {name} diverged on "
+                f"the access path from the reference model: {mismatch}"
             )
+
+
+def test_parity_sweep_covers_every_geometry_and_extension():
+    """The parity leg runs every fuzz geometry, and each extension
+    machine at least once."""
+    swept = [(g, o) for _, g, _, o in FAST_PATH_GEOMETRIES]
+    assert all((g, {}) in swept for g in GEOMETRIES)
+    overridden = {key: value for _, o in swept for key, value in o.items()}
+    assert overridden == {
+        "coherence_protocol": "moesi",
+        "coherence_transport": "snoop",
+        "directory_entries_per_slice": 8,
+        "working_memory": "nvm",
+    }
 
 
 #: The related-work additions, fuzzed against ideal on two geometries

