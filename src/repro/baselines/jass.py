@@ -54,7 +54,10 @@ class JASSAdaptive(GlobalEpochScheme):
 
     def store_hook(self, core_id: int, line: int, now: int) -> int:
         page = line >> (PAGE_SHIFT - CACHE_LINE_SHIFT)
-        self._page_lines.setdefault(page, set()).add(line)
+        page_lines = self._page_lines.get(page)
+        if page_lines is None:
+            page_lines = self._page_lines[page] = set()
+        page_lines.add(line)
         if self._strategy.get(page, UNDO) == SHADOW:
             self.machine.stats.inc("jass.redirections")
             return REDIRECTION_CYCLES
