@@ -32,6 +32,22 @@ _PAGE_LINE_SHIFT = PAGE_SHIFT - CACHE_LINE_SHIFT
 _PAGE_LINE_MASK = (1 << _PAGE_LINE_SHIFT) - 1
 
 
+def _walk_items(
+    node: Dict[int, object], level_bits: Tuple[int, ...], depth: int, prefix: int
+) -> Iterator[Tuple[int, object]]:
+    # Module level, not nested in ``items``: a nested generator that
+    # recurses through its own closure cell is a reference cycle, and
+    # every walk would leave one for the cyclic collector.
+    bits = level_bits[depth]
+    leaf = depth == len(level_bits) - 1
+    for index in sorted(node):
+        key = (prefix << bits) | index
+        if leaf:
+            yield key, node[index]
+        else:
+            yield from _walk_items(node[index], level_bits, depth + 1, key)  # type: ignore[arg-type]
+
+
 class RadixTree:
     """An explicit multi-level radix tree with node accounting.
 
@@ -119,17 +135,7 @@ class RadixTree:
 
     def items(self) -> Iterator[Tuple[int, object]]:
         """All (key, value) pairs, in key order within each node."""
-
-        def walk(node: Dict[int, object], depth: int, prefix: int):
-            bits = self.level_bits[depth]
-            for index in sorted(node):
-                key = (prefix << bits) | index
-                if depth == len(self.level_bits) - 1:
-                    yield key, node[index]
-                else:
-                    yield from walk(node[index], depth + 1, key)  # type: ignore[arg-type]
-
-        yield from walk(self.root, 0, 0)
+        return _walk_items(self.root, self.level_bits, 0, 0)
 
     def check_consistency(self) -> None:
         """Verify the accounting matches the actual structure.
@@ -144,17 +150,16 @@ class RadixTree:
         levels = len(self.level_bits)
         found_nodes = [0] * levels
         found_entries = 0
-
-        def walk(node: Dict[int, object], depth: int) -> None:
-            nonlocal found_entries
+        # An explicit stack: a nested recursive function is a reference
+        # cycle through its own closure cell (see ``_walk_items``).
+        stack: List[Tuple[Dict[int, object], int]] = [(self.root, 0)]
+        while stack:
+            node, depth = stack.pop()
             found_nodes[depth] += 1
             if depth == levels - 1:
                 found_entries += len(node)
-                return
-            for child in node.values():
-                walk(child, depth + 1)  # type: ignore[arg-type]
-
-        walk(self.root, 0)
+            else:
+                stack.extend((child, depth + 1) for child in node.values())  # type: ignore[misc]
         if found_nodes != self.nodes_per_level:
             raise AssertionError(
                 f"radix node accounting diverged: counted {found_nodes}, "

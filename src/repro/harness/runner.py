@@ -235,11 +235,14 @@ def simulate(spec: RunSpec) -> RunRecord:
         record.extra.update(extras_hook(machine))
     if scheduler is not None:
         record.extra.update(scheduler.record_extras())
-    # Break the machine <-> scheme cycle: the finished machine is then
-    # freed now, not at the cyclic collector's next full pass, so a grid's
-    # peak memory does not depend on what the other cells allocated.
-    # (NVOverlay's OMCs and walkers still hold further cycles.)
+    # Break the machine <-> scheme cycle and NVOverlay's walker ->
+    # hierarchy -> scheme -> walkers cycle: the finished cell is then
+    # freed when its last reference goes, not at the cyclic collector's
+    # next full pass, so a grid's peak memory does not depend on what
+    # the other cells allocated.
     scheme.machine = None
+    if isinstance(scheme, NVOverlay):
+        scheme.walkers = []
     return record
 
 
