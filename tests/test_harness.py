@@ -57,31 +57,43 @@ class TestRunner:
         assert records["nvoverlay"].extra["normalized_write_bytes"] == 1.0
         assert records["picl"].extra["normalized_cycles"] > 0
 
-    @pytest.mark.parametrize("scheme", ["ideal", "picl"])
-    def test_finished_machine_freed_without_the_collector(self, scheme,
+    @pytest.mark.parametrize("cell", [*SCHEMES, "timetravel_serve"])
+    def test_finished_machine_freed_without_the_collector(self, cell,
                                                           monkeypatch):
-        """``simulate`` breaks the machine <-> scheme cycle, so a finished
-        cell's machine dies with its last reference, not at a later
-        full pass of the cyclic collector."""
+        """``simulate`` breaks the machine <-> scheme cycle and NVOverlay's
+        walker -> hierarchy -> scheme -> walkers cycle, and no radix walk
+        leaves one, so a finished cell's hierarchy and scheme die with
+        their last reference, and the cyclic collector finds nothing."""
         import gc
         import weakref
 
         from repro.harness import runner
+        from repro.load.scenarios import DEFAULT_SERVE_POLICY, SERVE_NVO_PARAMS
 
+        if cell == "timetravel_serve":
+            spec = RunSpec(workload="load_burst", scheme="nvoverlay",
+                           config=SMALL, scale=TINY_SCALE,
+                           serve=DEFAULT_SERVE_POLICY,
+                           nvo_params=SERVE_NVO_PARAMS)
+        else:
+            spec = RunSpec(workload="uniform", scheme=cell, config=SMALL,
+                           scale=TINY_SCALE)
         build = runner.machine_for
         built = []
 
         def recording_build(*args, **kwargs):
             machine = build(*args, **kwargs)
-            built.append(weakref.ref(machine))
+            built.append(weakref.ref(machine.hierarchy))
+            built.append(weakref.ref(machine.scheme))
             return machine
 
         monkeypatch.setattr(runner, "machine_for", recording_build)
+        gc.collect()
         gc.disable()
         try:
-            runner.simulate(RunSpec(workload="uniform", scheme=scheme,
-                                    config=SMALL, scale=TINY_SCALE))
-            assert built and built[0]() is None
+            runner.simulate(spec)
+            assert built and [ref() for ref in built] == [None, None]
+            assert gc.collect() == 0
         finally:
             gc.enable()
 

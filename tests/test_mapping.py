@@ -42,6 +42,24 @@ class TestRadixTree:
             tree.insert(key, key)
         assert [k for k, _ in tree.items()] == [3, 77, 120, 200]
 
+    def test_walks_leave_nothing_for_the_collector(self):
+        """``items`` and ``check_consistency`` build no reference cycle
+        (a nested generator recursing through its own closure cell
+        would), so a finished walk is freed by reference counting."""
+        import gc
+
+        tree = RadixTree((4, 4, 4))
+        for key in (200, 3, 77, 120, 4000):
+            tree.insert(key, key)
+        gc.collect()
+        gc.disable()
+        try:
+            assert [k for k, _ in tree.items()] == [3, 77, 120, 200, 4000]
+            tree.check_consistency()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
     def test_node_bytes_grows_with_spread(self):
         dense = RadixTree((8, 8))
         sparse = RadixTree((8, 8))
