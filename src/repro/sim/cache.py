@@ -39,7 +39,13 @@ class MESI(IntEnum):
 
 
 class CacheLine:
-    """One cache entry: identity, coherence state, version, data token."""
+    """One cache entry: identity, coherence state, version, data token.
+
+    The access path (``repro.sim.fastpath``) recycles entries: an
+    evicted line's object becomes the entry of the line installed in
+    its place, with all four fields overwritten.  Nothing may therefore
+    keep a ``CacheLine`` across accesses; copy the fields instead.
+    """
 
     __slots__ = ("line", "state", "oid", "data")
 

@@ -66,7 +66,12 @@ from .stats import Stats
 
 
 class DirEntry:
-    """Directory state for one line, at VD granularity."""
+    """Directory state for one line, at VD granularity.
+
+    The access path (``repro.sim.fastpath``) keeps the entries its LLC
+    insert drops as empty and hands them to the next line that needs
+    one, so nothing may keep a ``DirEntry`` across accesses.
+    """
 
     __slots__ = ("owner", "sharers")
 
