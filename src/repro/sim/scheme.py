@@ -72,7 +72,12 @@ class SnapshotScheme:
         self.machine = machine
 
     def finalize(self, now: int) -> None:
-        """End of run: flush/persist whatever is still outstanding."""
+        """End of run: flush/persist whatever is still outstanding.
+
+        Runs before the access path writes its deferred ``Stats``
+        counters, the store token and the tag walkers' fields back, so
+        it must not read them.
+        """
 
     # -- fast-path hooks (return stall cycles) ----------------------------
     def on_store(self, core_id: int, vd_id: int, line: int, old_oid: int, now: int) -> int:

@@ -108,9 +108,9 @@ class Machine:
         #: the run loop; None (the default) costs nothing.  The hook
         #: runs mid-run, before the access path writes its deferred
         #: ``Stats`` counters, the hierarchy's store token and
-        #: the tag walkers' fields back (that happens when ``run``
-        #: returns), so a hook must not read any of them; the serve
-        #: scheduler reads none.
+        #: the tag walkers' fields back (that happens after the scheme's
+        #: ``finalize``, when ``run`` ends), so a hook must not read any
+        #: of them; the serve scheduler reads none.
         self.txn_hook: Optional[Callable[[int], None]] = None
         self.scheme.attach(self)
         if oracle is not None:
@@ -227,10 +227,12 @@ class Machine:
                 break
             heappush(ready, (clock, tid))
 
-        fast.flush()
         end = max(clocks.values(), default=0)
         end = max(end, self._global_stall_until)
+        # Finalize runs on the run's path (NVOverlay's flush of every VD),
+        # so the path's counters are written back after it.
         scheme.finalize(end)
+        fast.flush()
         if self.oracle is not None:
             self.oracle.on_finalize(end)
         return RunResult(

@@ -152,7 +152,6 @@ class TestEvictions:
         # the final token of every line.
         ops = [[store(PRIV + i * 64)] for i in range(400)]
         machine = run_script([ops])
-        machine.hierarchy.flush_all(0)
         mismatches, total = final_image_matches_stores(machine)
         assert total == 400
         assert mismatches == 0

@@ -25,14 +25,12 @@ class TestWorkingMemoryOnNVM:
     def test_working_writes_accounted_separately(self):
         machine = Machine(tiny_config(working_memory="nvm"))
         machine.run(RandomWorkload(num_threads=4, txns_per_thread=300, seed=4))
-        machine.hierarchy.flush_all(0)
         assert machine.nvm.bytes_written("working") > 0
         assert machine.stats.get("dram.writes") == 0
 
     def test_dram_mode_never_touches_nvm_for_working_data(self):
         machine = Machine(tiny_config(working_memory="dram"))
         machine.run(RandomWorkload(num_threads=4, txns_per_thread=200, seed=4))
-        machine.hierarchy.flush_all(0)
         assert machine.nvm.bytes_written("working") == 0
         assert machine.stats.get("dram.writes") > 0
 
