@@ -84,9 +84,6 @@ class TagWalker:
         if self._budget > self._budget_cap:
             self._budget = self._budget_cap
 
-    def _scan_set(self, set_index: int, now: int) -> None:
-        self.hierarchy.walker_scan_set(self.vd, set_index, now)
-
     def _complete_pass(self, now: int) -> None:
         """End of a full scan: compute and report min-ver (§V-B)."""
         injector = self.hierarchy.fault_injector
@@ -99,10 +96,3 @@ class TagWalker:
             oracle.on_walker_pass(self.vd.id, min_ver, now)
         self.cluster.update_min_ver(self.vd.id, min_ver, now, seq=self._pass_seq)
         self.stats.inc("walker.passes")
-
-    def force_pass(self, now: int) -> None:
-        """Synchronously walk everything (used at finalize)."""
-        self._pass_seq = self.cluster.min_ver_seq(self.vd.id)
-        for set_index in range(self.vd.l2.geometry.num_sets):
-            self._scan_set(set_index, now)
-        self._complete_pass(now)

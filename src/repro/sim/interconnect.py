@@ -15,11 +15,11 @@ across sockets and every hop crossing a socket boundary pays
 ``socket_hop_penalty`` extra hops, which is how the scalability sweeps
 model multi-socket machines.
 
-The message rules below are plain functions of the endpoints: the fast
+The message rules below are plain functions of the endpoints: the access
 path (``repro.sim.fastpath``) tabulates them once per run and counts the
-messages itself.  The two messages ``Hierarchy``'s own steps send, the
-version write-back to the OMC and the batched epoch-sync notice, are
-counted here.
+messages itself, the version write-back to the OMC included.  The one
+message ``Hierarchy``'s own steps send, the batched epoch-sync notice,
+is counted here.
 """
 
 from __future__ import annotations
@@ -87,11 +87,6 @@ class Interconnect:
         return 2 * self.hop + (num_vds * self.hop) // 8
 
     # -- messages counted here ---------------------------------------------
-    def vd_to_omc(self, vd_id: Optional[int] = None) -> int:
-        """LLC-bypass path used for version write-backs (§IV-A2)."""
-        self._inc("net.omc_msgs")
-        return self.hop
-
     def epoch_sync_notify(self, vd_id: Optional[int] = None) -> int:
         """Batched epoch-advance announcement (VD -> master OMC).
 

@@ -145,14 +145,11 @@ class TestMutations:
 
     def test_reordered_writeback_fires_writeback_epoch(self):
         machine, oracle = run_armed("uniform", "nvoverlay")
-        hierarchy = machine.hierarchy
-        vd = hierarchy.vds[0]
+        vd = machine.hierarchy.vds[0]
         # The bug: a write-back tagged with an epoch the VD has not
         # reached — version order crossed an epoch boundary.
         with pytest.raises(InvariantViolation) as excinfo:
-            hierarchy._version_writeback(
-                vd, 0x555, 7, vd.cur_epoch + 5, "capacity", False, 0
-            )
+            oracle.on_writeback(vd, 0x555, vd.cur_epoch + 5, "capacity", 0)
         self._assert_violation(excinfo.value, "writeback-epoch")
 
     def test_epoch_regression_fires_epoch_monotonic(self):

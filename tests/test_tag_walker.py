@@ -71,19 +71,3 @@ class TestMinVerReports:
         # After finalize, every VD's min-ver equals the final epoch.
         final = max(vd.cur_epoch for vd in machine.hierarchy.vds)
         assert all(v == final for v in scheme.cluster.min_vers.values())
-
-    def test_force_pass(self):
-        machine, scheme = machine_with_walker(enabled=False)
-        done = {}
-
-        class W:
-            num_threads = 1
-
-            def access_batches(self, tid):
-                yield [store(0x4000)]
-                machine.hierarchy.advance_epoch(machine.hierarchy.vds[0], 5, 0)
-                scheme.walkers[0].force_pass(0)
-                done["min_ver"] = scheme.cluster.min_vers[0]
-
-        machine.run(W())
-        assert done["min_ver"] == 5
