@@ -235,14 +235,18 @@ def simulate(spec: RunSpec) -> RunRecord:
         record.extra.update(extras_hook(machine))
     if scheduler is not None:
         record.extra.update(scheduler.record_extras())
-    # Break the machine <-> scheme cycle and NVOverlay's walker ->
-    # hierarchy -> scheme -> walkers cycle: the finished cell is then
-    # freed when its last reference goes, not at the cyclic collector's
-    # next full pass, so a grid's peak memory does not depend on what
-    # the other cells allocated.
+    # Break the machine <-> scheme cycle, NVOverlay's walker ->
+    # hierarchy -> scheme -> walkers cycle and an armed cell's oracle
+    # cycles (the machine, its hierarchy and the cluster keep the
+    # oracle, which keeps them): the finished cell is then freed when
+    # its last reference goes, not at the cyclic collector's next full
+    # pass, so a grid's peak memory does not depend on what the other
+    # cells allocated.
     scheme.machine = None
     if isinstance(scheme, NVOverlay):
         scheme.walkers = []
+    if oracle is not None:
+        oracle.machine = oracle.hierarchy = oracle.cluster = None
     return record
 
 

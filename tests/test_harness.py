@@ -57,13 +57,17 @@ class TestRunner:
         assert records["nvoverlay"].extra["normalized_write_bytes"] == 1.0
         assert records["picl"].extra["normalized_cycles"] > 0
 
-    @pytest.mark.parametrize("cell", [*SCHEMES, "timetravel_serve"])
+    @pytest.mark.parametrize(
+        "cell", [*SCHEMES, "timetravel_serve", "picl-armed", "nvoverlay-armed"]
+    )
     def test_finished_machine_freed_without_the_collector(self, cell,
                                                           monkeypatch):
-        """``simulate`` breaks the machine <-> scheme cycle and NVOverlay's
-        walker -> hierarchy -> scheme -> walkers cycle, and no radix walk
-        leaves one, so a finished cell's hierarchy and scheme die with
-        their last reference, and the cyclic collector finds nothing."""
+        """``simulate`` breaks the machine <-> scheme cycle, NVOverlay's
+        walker -> hierarchy -> scheme -> walkers cycle and an armed
+        cell's oracle cycles, the access path clears ``hierarchy.path``
+        when the run ends, and no radix walk leaves a cycle, so a
+        finished cell's hierarchy and scheme die with their last
+        reference, and the cyclic collector finds nothing."""
         import gc
         import weakref
 
@@ -76,8 +80,9 @@ class TestRunner:
                            serve=DEFAULT_SERVE_POLICY,
                            nvo_params=SERVE_NVO_PARAMS)
         else:
-            spec = RunSpec(workload="uniform", scheme=cell, config=SMALL,
-                           scale=TINY_SCALE)
+            scheme, _, armed = cell.partition("-")
+            spec = RunSpec(workload="uniform", scheme=scheme, config=SMALL,
+                           scale=TINY_SCALE, oracle=bool(armed))
         build = runner.machine_for
         built = []
 
